@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 from .coloring import EdgeColoring, check_interval_coloring, coloring_from_json
@@ -169,13 +170,19 @@ def load_base_table() -> dict[int, EdgeColoring]:
     return {int(n): coloring_from_json(json.dumps(entry)) for n, entry in raw.items()}
 
 
+@cache
+def _base_table() -> dict[int, EdgeColoring]:
+    # read once per process; every entry handed out is a copy
+    return load_base_table()
+
+
 def color_fan(n: int) -> EdgeColoring:
     """Interval coloring of the n-fan with exactly max-degree colors."""
     if n < 3:
         raise ValueError(f"fan needs n >= 3, got {n}")
-    table = load_base_table()
+    table = _base_table()
     if n <= 8:
-        col = table[n]
+        col = EdgeColoring(table[n].t, table[n].assignment)  # copies the assignment
     else:
         col = _extended_from(table[7 if n % 2 == 1 else 8], 7 if n % 2 == 1 else 8, n)
     g, _ = gen_triangular_fan(n)

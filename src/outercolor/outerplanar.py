@@ -178,9 +178,11 @@ def internal_edges(g: Graph, emb: OuterEmbedding) -> set[Edge]:
 def bounded_faces(emb: OuterEmbedding) -> list[tuple[int, ...]]:
     """All bounded faces, each as a tuple of vertex ids along the face.
 
-    The chords split the outer polygon recursively; non-crossing makes
-    the split well-defined. Faces are emitted as position-ascending
-    walks mapped back to vertex ids.
+    The chords split the outer polygon into nested regions; non-crossing
+    makes the split well-defined. Regions are visited depth-first from an
+    explicit stack, so nesting depth is not bounded by the call stack.
+    Faces are emitted in that visiting order, as position-ascending walks
+    mapped back to vertex ids.
     """
     n = len(emb.order)
     pos = emb.positions()
@@ -191,10 +193,11 @@ def bounded_faces(emb: OuterEmbedding) -> list[tuple[int, ...]]:
         by_low.setdefault(p, []).append(q)
 
     faces: list[list[int]] = []
-
-    def split(lo: int, hi: int) -> None:
+    regions = [(0, n - 1)]
+    while regions:
         # region bounded by positions lo..hi along the polygon plus the
         # closing edge (lo, hi); walk the face incident to that edge
+        lo, hi = regions.pop()
         walk = [lo]
         p = lo
         while p < hi:
@@ -203,11 +206,8 @@ def bounded_faces(emb: OuterEmbedding) -> list[tuple[int, ...]]:
             walk.append(nxt)
             p = nxt
         faces.append(walk)
-        for a, b in zip(walk, walk[1:]):
-            if b - a >= 2:
-                split(a, b)
-
-    split(0, n - 1)
+        # pushed in reverse so the leftmost sub-region is walked next
+        regions.extend((a, b) for a, b in reversed(list(zip(walk, walk[1:]))) if b - a >= 2)
     return [tuple(emb.order[p] for p in walk) for walk in faces]
 
 

@@ -1,31 +1,46 @@
 """Constructive interval coloring for 2-connected outerplanar graphs
 with maximum degree at most 3.
 
-The recursion peels one reducible configuration at a time: an adjacent
-degree-2 pair is cut out (reattaching or keeping the neighbor edge), or
-a 3-2-3 triangle is contracted to a single vertex. Each unwind splices
-colors for the removed edges using only the local palettes, and the full
-validator re-checks the coloring after every splice, so a bug anywhere
-surfaces at the exact recursion depth that introduced it. At most 4
-colors are ever produced; graphs of even order with degree-3 vertices
+The peel removes one reducible configuration at a time from a single
+mutable adjacency: an adjacent degree-2 pair is cut out (reattaching or
+keeping the neighbor edge), or a 3-2-3 triangle is contracted to a
+single vertex. It runs as two loops, so its depth does not grow with n.
+The down loop reduces until a base case colors what is left; the up loop
+undoes the reductions in reverse and splices colors for the restored
+edges using only the local palettes.
+
+Invariant: after each splice the coloring is a valid interval coloring
+of the graph at that level. A splice changes the edges at no more than
+five vertices, and every other vertex keeps the palette it had one level
+down, so the splice checks only those vertices (proper, gap-free), plus
+a per-color edge count (every color 1..t in use) and an edge count
+(every edge colored). A bad splice fails at the exact depth that made
+it; the full validator then checks the finished coloring once. At most
+4 colors are ever produced; graphs of even order with degree-3 vertices
 get an exactly-3-color construction instead.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import Counter
 from dataclasses import dataclass
+from typing import Callable
 
-from .coloring import EdgeColoring, check_interval_coloring
+from .coloring import EdgeColoring, Violation, check_interval_coloring
 from .graphs import Edge, Graph, is_cycle_graph, make_graph, norm_edge
 from .outerplanar import (
+    NoConfigError,
     OuterEmbedding,
     PairConfig,
     Rejection,
     TriangleConfig,
-    find_reducible_config,
     recognize_outerplanar_2connected,
 )
 from .solver import find_interval_coloring
+
+# not called (the peel's heaps keep its tie-break); perfbench/tracing.py wraps it here
+from .outerplanar import find_reducible_config  # noqa: F401
 
 
 class ColoringPreconditionError(ValueError):
@@ -34,13 +49,14 @@ class ColoringPreconditionError(ValueError):
 
 @dataclass(frozen=True)
 class ReductionStep:
-    """One recursion event, for traces.
+    """One peel level, for traces.
 
-    case is one of Case11, Case12, Case12OddCycle, Case2, Case2OddCycle,
-    BaseSmall, BaseEvenCycle. removed lists the peeled vertices (u, v)
-    or (u, v, w); attachments lists (x, y) for pairs or the external
-    neighbors (a, b) for triangles; super_vertex is the contracted
-    vertex id for Case2 variants.
+    case is one of Case11, Case12, Case12OddCycle, Case2, BaseSmall,
+    BaseEvenCycle. removed lists the peeled vertices (u, v) or (u, v, w);
+    attachments lists (x, y) for pairs or the external neighbors (a, b)
+    for triangles; super_vertex is the contracted vertex id for Case2.
+    Vertex ids are positions among the vertices that survive at that
+    level, in ascending id order.
     """
 
     case: str
@@ -61,215 +77,368 @@ def _coloring_of(assignment: dict[Edge, int]) -> EdgeColoring:
     return EdgeColoring(max(assignment.values()), assignment)
 
 
-def _alternate_even_cycle(g: Graph) -> dict[Edge, int]:
-    # walk the cycle from 0 toward its smaller neighbor, alternating 1, 2
-    order = [0, min(g.neighbors(0))]
-    while len(order) < g.n:
-        a, b = g.neighbors(order[-1])
-        order.append(a if a != order[-2] else b)
-    colors = {}
-    for i in range(g.n):
-        e = norm_edge(order[i], order[(i + 1) % g.n])
-        colors[e] = 1 + (i % 2)
-    return colors
+class _LiveRanks:
+    """Fenwick tree over vertex ids that are still in the graph.
+
+    rank(v) is the number of live ids below v, which is v's id in the
+    graph of the current level with its ids compressed to 0..live-1.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.live = n
+        self.tree = [0] * (n + 1)
+        for i in range(1, n + 1):
+            self.tree[i] += 1
+            j = i + (i & -i)
+            if j <= n:
+                self.tree[j] += self.tree[i]
+
+    def rank(self, v: int) -> int:
+        total = 0
+        while v > 0:
+            total += self.tree[v]
+            v -= v & -v
+        return total
+
+    def drop(self, v: int) -> None:
+        self.live -= 1
+        v += 1
+        while v < len(self.tree):
+            self.tree[v] -= 1
+            v += v & -v
 
 
-def _cycle_path_after_removing(g: Graph, x: int, y: int) -> list[int]:
-    # g is a cycle containing edge xy; return the x..y walk avoiding xy
-    first = next(w for w in g.neighbors(x) if w != y)
-    walk = [x, first]
-    while walk[-1] != y:
-        a, b = g.neighbors(walk[-1])
-        walk.append(a if a != walk[-2] else b)
-    return walk
+class _Peel:
+    """The mutable graph and the shared coloring of one peel.
+
+    Vertex ids are the input's. Candidate configurations sit in two
+    lazily checked heaps: every edge that may join two degree-2 vertices
+    and every vertex that may be the tip of a 3-2-3 triangle. An entry is
+    re-checked when it reaches the top, and a reduction pushes the
+    candidates around the vertices it changed, so the valid candidates
+    are always in the heaps.
+    """
+
+    def __init__(self, g: Graph) -> None:
+        self.adj = [set(g.neighbors(v)) for v in range(g.n)]
+        self.m = g.m
+        self.ranks = _LiveRanks(g.n)
+        self.colors: dict[Edge, int] = {}
+        self.uses: Counter[int] = Counter()
+        self.pairs = [e for e in g.edges if self._is_pair(*e)]
+        heapq.heapify(self.pairs)
+        self.tips = [v for v in range(g.n) if self._is_tip(v)]
+
+    # -- graph ------------------------------------------------------------
+
+    def _is_pair(self, u: int, v: int) -> bool:
+        return v in self.adj[u] and len(self.adj[u]) == 2 and len(self.adj[v]) == 2
+
+    def _is_tip(self, v: int) -> bool:
+        if len(self.adj[v]) != 2:
+            return False
+        u, w = self.adj[v]
+        return w in self.adj[u] and len(self.adj[u]) == 3 and len(self.adj[w]) == 3
+
+    def find_config(self) -> PairConfig | TriangleConfig:
+        """The configuration find_reducible_config would pick on the
+        current graph: the lowest degree-2 pair edge, else the triangle
+        with the lowest tip."""
+        adj = self.adj
+        while self.pairs:
+            u, v = self.pairs[0]
+            if self._is_pair(u, v):
+                (x,) = adj[u] - {v}
+                (y,) = adj[v] - {u}
+                return PairConfig(u, v, x, y)
+            heapq.heappop(self.pairs)
+        while self.tips:
+            v = self.tips[0]
+            if self._is_tip(v):
+                u, w = sorted(adj[v])
+                return TriangleConfig(u, v, w)
+            heapq.heappop(self.tips)
+        raise NoConfigError("no adjacent degree-2 pair and no 3-2-3 triangle")
+
+    def _link(self, a: int, b: int) -> None:
+        self.adj[a].add(b)
+        self.adj[b].add(a)
+        self.m += 1
+
+    def _cut(self, a: int, b: int) -> None:
+        self.adj[a].remove(b)
+        self.adj[b].remove(a)
+        self.m -= 1
+
+    def reduce(self, removed: list[Edge], added: list[Edge], dead: tuple[int, ...]) -> None:
+        for e in removed:
+            self._cut(*e)
+        for e in added:
+            self._link(*e)
+        for v in dead:
+            self.ranks.drop(v)
+        for z in {z for e in removed for z in e} - set(dead):
+            nbrs = self.adj[z]
+            if len(nbrs) == 2:
+                for r in nbrs:
+                    if len(self.adj[r]) == 2:
+                        heapq.heappush(self.pairs, norm_edge(z, r))
+            for c in (z, *nbrs):
+                if self._is_tip(c):
+                    heapq.heappush(self.tips, c)
+
+    def restore(self, removed: list[Edge], added: list[Edge]) -> None:
+        for e in added:
+            self._cut(*e)
+        for e in removed:
+            self._link(*e)
+
+    def live_vertices(self) -> list[int]:
+        return [v for v, nbrs in enumerate(self.adj) if nbrs]
+
+    # -- coloring ---------------------------------------------------------
+
+    def paint(self, a: int, b: int, c: int) -> None:
+        e = norm_edge(a, b)
+        old = self.colors.get(e)
+        if old is not None:
+            self.uses[old] -= 1
+        self.colors[e] = c
+        self.uses[c] += 1
+
+    def unpaint(self, a: int, b: int) -> int:
+        c = self.colors.pop(norm_edge(a, b))
+        self.uses[c] -= 1
+        return c
+
+    def palette(self, v: int) -> set[int]:
+        """Colors on the colored edges at v."""
+        colors = self.colors
+        return {colors[e] for w in self.adj[v] if (e := norm_edge(v, w)) in colors}
+
+    def _violation(self, verts) -> Violation | None:
+        for v in sorted(verts):
+            palette = []
+            for w in self.adj[v]:
+                c = self.colors.get(norm_edge(v, w))
+                if c is None:
+                    return Violation("uncolored-edge", edge=norm_edge(v, w))
+                palette.append(c)
+            palette.sort()
+            for a, b in zip(palette, palette[1:]):
+                if a == b:
+                    return Violation("not-proper", vertex=v, color=a)
+            if palette and palette[-1] - palette[0] != len(palette) - 1:
+                return Violation("not-interval", vertex=v)
+        in_use = [c for c, k in self.uses.items() if k]
+        if min(in_use) < 1:
+            return Violation("color-out-of-range", color=min(in_use))
+        for c in range(1, max(in_use) + 1):
+            if not self.uses[c]:
+                return Violation("color-unused", color=c)
+        if len(self.colors) > self.m:
+            return Violation("unknown-edge")
+        if len(self.colors) < self.m:
+            return Violation("uncolored-edge")
+        return None
+
+    def check(self, verts, where: str) -> None:
+        """Raise unless the coloring is valid, given that every vertex
+        outside verts has the palette of an already checked coloring."""
+        bad = self._violation(verts)
+        if bad is not None:
+            raise AssertionError(f"splice broke the coloring at {where}: {bad.describe()}")
 
 
-def _recurse_on(
-    edges: list[Edge], depth: int, steps: list[ReductionStep]
-) -> dict[Edge, int]:
-    # compress the surviving vertex ids, solve, translate colors back
-    verts = sorted({v for e in edges for v in e})
-    to_new = {v: i for i, v in enumerate(verts)}
-    sub = make_graph(len(verts), [(to_new[a], to_new[b]) for a, b in edges])
-    col = _color_rec(sub, depth + 1, steps)
-    return {
-        norm_edge(verts[a], verts[b]): c for (a, b), c in col.assignment.items()
-    }
+# ---------------------------------------------------------------------------
+# Base cases: color everything that is left
+# ---------------------------------------------------------------------------
+
+def _alternate(peel: _Peel, start: int, first: int, stop: int) -> None:
+    # paint the walk start, first, ... through degree-2 vertices up to
+    # stop with 1, 2, 1, 2, ...
+    prev, cur, c = start, first, 1
+    peel.paint(prev, cur, c)
+    while cur != stop:
+        prev, cur, c = cur, next(z for z in peel.adj[cur] if z != prev), 3 - c
+        peel.paint(prev, cur, c)
 
 
-def _splice_pair_new_edge(
-    g: Graph, cfg: PairConfig, depth: int, steps: list[ReductionStep]
-) -> EdgeColoring:
-    # the pair's outside neighbors were not adjacent: recolor against the
-    # shortcut edge xy, then pull its color onto ux and vy
-    u, v, x, y = cfg.u, cfg.v, cfg.x, cfg.y
-    steps.append(ReductionStep("Case11", depth, removed=(u, v), attachments=(x, y)))
-    drop = {norm_edge(u, x), norm_edge(u, v), norm_edge(v, y)}
-    sub_edges = [e for e in g.sorted_edges() if e not in drop] + [norm_edge(x, y)]
-    assert len(sub_edges) <= g.m - 2, "reduction must shed at least two edges"
-    colors = _recurse_on(sub_edges, depth, steps)
-    axy = colors.pop(norm_edge(x, y))
+def _color_even_cycle(peel: _Peel) -> None:
+    # from the lowest vertex toward its lower neighbor
+    start = peel.live_vertices()[0]
+    _alternate(peel, start, min(peel.adj[start]), start)
+
+
+def _color_small(peel: _Peel) -> None:
+    # the exact solver on the remaining graph with its ids compressed
+    verts = peel.live_vertices()
+    index = {v: i for i, v in enumerate(verts)}
+    sub = make_graph(
+        len(verts), [(index[a], index[b]) for a in verts for b in peel.adj[a] if a < b]
+    )
+    for t in range(sub.max_degree, 5):
+        col = find_interval_coloring(sub, t)
+        if col is not None:
+            for (a, b), c in col.assignment.items():
+                peel.paint(verts[a], verts[b], c)
+            return
+    raise AssertionError(f"no coloring with at most 4 colors at {sub.m} edges")
+
+
+def _color_odd_cycle_pair(peel: _Peel, u: int, v: int, x: int, y: int) -> None:
+    # without u and v the graph is an odd cycle through xy, so no reduced
+    # level can be colored: xy gets 3, the rest of the cycle alternates
+    # 1, 2 from x, and the peeled path climbs 2, 3, 4
+    peel.paint(x, y, 3)
+    (first,) = peel.adj[x] - {u, y}
+    _alternate(peel, x, first, y)
+    peel.paint(u, x, 2)
+    peel.paint(u, v, 3)
+    peel.paint(v, y, 4)
+
+
+# ---------------------------------------------------------------------------
+# Splice rules: color the edges one undone reduction restored
+# ---------------------------------------------------------------------------
+
+def _splice_pair_new_edge(peel: _Peel, u: int, v: int, x: int, y: int) -> None:
+    # the pair's outside neighbors were not adjacent: the shortcut xy
+    # gives its color to ux and vy
+    axy = peel.unpaint(x, y)
     if axy == 1:
-        colors[norm_edge(u, x)] = 1
-        colors[norm_edge(v, y)] = 1
-        colors[norm_edge(u, v)] = 2
+        peel.paint(u, x, 1)
+        peel.paint(v, y, 1)
+        peel.paint(u, v, 2)
     else:
-        colors[norm_edge(u, x)] = axy
-        colors[norm_edge(v, y)] = axy
-        colors[norm_edge(u, v)] = axy - 1
-    return _assert_valid(g, _coloring_of(colors), f"pair splice depth {depth}")
+        peel.paint(u, x, axy)
+        peel.paint(v, y, axy)
+        peel.paint(u, v, axy - 1)
 
 
-def _splice_pair_kept_edge(
-    g: Graph, cfg: PairConfig, depth: int, steps: list[ReductionStep]
-) -> EdgeColoring:
-    # xy is an edge of G, so the reduced graph simply loses u and v
-    u, v, x, y = cfg.u, cfg.v, cfg.x, cfg.y
-    drop = {norm_edge(u, x), norm_edge(u, v), norm_edge(v, y)}
-    sub_edges = [e for e in g.sorted_edges() if e not in drop]
-    assert len(sub_edges) <= g.m - 2, "reduction must shed at least two edges"
-    verts = sorted({w for e in sub_edges for w in e})
-    to_new = {w: i for i, w in enumerate(verts)}
-    sub = make_graph(len(verts), [(to_new[a], to_new[b]) for a, b in sub_edges])
-
-    if is_cycle_graph(sub) and sub.n % 2 == 1:
-        # cannot recurse into an odd cycle; color it directly: xy gets 3,
-        # the rest of the cycle alternates 1, 2 from x, and the peeled
-        # path climbs 2, 3, 4
-        steps.append(
-            ReductionStep("Case12OddCycle", depth, removed=(u, v), attachments=(x, y))
-        )
-        colors: dict[Edge, int] = {norm_edge(x, y): 3}
-        walk = _cycle_path_after_removing(sub, to_new[x], to_new[y])
-        for i, (a, b) in enumerate(zip(walk, walk[1:])):
-            colors[norm_edge(verts[a], verts[b])] = 1 + (i % 2)
-        colors[norm_edge(u, x)] = 2
-        colors[norm_edge(u, v)] = 3
-        colors[norm_edge(v, y)] = 4
-        return _assert_valid(g, _coloring_of(colors), f"odd-cycle pair depth {depth}")
-
-    steps.append(ReductionStep("Case12", depth, removed=(u, v), attachments=(x, y)))
-    colors = _recurse_on(sub_edges, depth, steps)
-    sx = {colors[norm_edge(x, w)] for w in g.neighbors(x) if norm_edge(x, w) in colors}
-    sy = {colors[norm_edge(y, w)] for w in g.neighbors(y) if norm_edge(y, w) in colors}
+def _splice_pair_kept_edge(peel: _Peel, u: int, v: int, x: int, y: int) -> None:
+    # xy is an edge of G, so the reduced graph simply lost u and v
+    sx, sy = peel.palette(x), peel.palette(y)
     if not sx & sy:
         raise AssertionError(f"palettes at {x} and {y} lost their shared edge")
     if sx == sy:
         c = min(sx)
         if c == 1:
-            colors[norm_edge(u, x)] = 3
-            colors[norm_edge(v, y)] = 3
-            colors[norm_edge(u, v)] = 2
+            peel.paint(u, x, 3)
+            peel.paint(v, y, 3)
+            peel.paint(u, v, 2)
         else:
-            colors[norm_edge(u, x)] = c - 1
-            colors[norm_edge(v, y)] = c - 1
-            colors[norm_edge(u, v)] = c
+            peel.paint(u, x, c - 1)
+            peel.paint(v, y, c - 1)
+            peel.paint(u, v, c)
+        return
+    union = sorted(sx | sy)
+    c = union[0]
+    if union != [c, c + 1, c + 2]:
+        raise AssertionError(f"pair palettes {sx} {sy} are not a 3-run")
+    if sx == {c, c + 1}:
+        peel.paint(u, x, c + 2)
+        peel.paint(u, v, c + 1)
+        peel.paint(v, y, c)
     else:
-        union = sorted(sx | sy)
-        c = union[0]
-        if len(union) != 3 or union != [c, c + 1, c + 2]:
-            raise AssertionError(f"pair palettes {sx} {sy} are not a 3-run")
-        if sx == {c, c + 1}:
-            colors[norm_edge(u, x)] = c + 2
-            colors[norm_edge(u, v)] = c + 1
-            colors[norm_edge(v, y)] = c
-        else:
-            colors[norm_edge(u, x)] = c
-            colors[norm_edge(u, v)] = c + 1
-            colors[norm_edge(v, y)] = c + 2
-    return _assert_valid(g, _coloring_of(colors), f"kept-edge pair depth {depth}")
+        peel.paint(u, x, c)
+        peel.paint(u, v, c + 1)
+        peel.paint(v, y, c + 2)
 
 
-def _splice_triangle(
-    g: Graph, cfg: TriangleConfig, depth: int, steps: list[ReductionStep]
-) -> EdgeColoring:
-    u, v, w = cfg.u, cfg.v, cfg.w
-    a = next(z for z in g.neighbors(u) if z not in (v, w))
-    b = next(z for z in g.neighbors(w) if z not in (u, v))
-    if a == b:
-        # would make `a` a cut vertex, contradicting 2-connectedness
-        # (the 5-edge diamond never reaches here: the small base case
-        # catches it first)
-        raise AssertionError(f"triangle {u},{v},{w} shares its external neighbor {a}")
-    touched = {u, v, w}
-    sub_edges = [e for e in g.sorted_edges() if not (set(e) & touched)]
-    sub_edges += [norm_edge(u, a), norm_edge(u, b)]
-    assert len(sub_edges) <= g.m - 2, "contraction must shed at least two edges"
-    verts = sorted({z for e in sub_edges for z in e})
-    to_new = {z: i for i, z in enumerate(verts)}
-    sub = make_graph(len(verts), [(to_new[p], to_new[q]) for p, q in sub_edges])
+def _is_3_run(a: int, b: int, c: int) -> bool:
+    lo, mid, hi = sorted((a, b, c))
+    return lo + 1 == mid and mid + 1 == hi
 
-    if is_cycle_graph(sub) and sub.n % 2 == 1:
-        steps.append(
-            ReductionStep(
-                "Case2OddCycle", depth, removed=(u, v, w), attachments=(a, b),
-                super_vertex=u,
-            )
-        )
-        # the external u..w path gets 4 then alternates 3, 2 to end on 2;
-        # its middle is the sub-cycle walk from a to b that avoids the
-        # contracted vertex
-        vstar = to_new[u]
-        walk = [to_new[a], next(z for z in sub.neighbors(to_new[a]) if z != vstar)]
-        while walk[-1] != to_new[b]:
-            p, q = sub.neighbors(walk[-1])
-            walk.append(p if p != walk[-2] else q)
-        path = [u] + [verts[i] for i in walk] + [w]
-        colors = {norm_edge(u, w): 3, norm_edge(u, v): 2, norm_edge(v, w): 1}
-        for i, (p, q) in enumerate(zip(path, path[1:])):
-            colors[norm_edge(p, q)] = 4 if i == 0 else (3 if i % 2 == 1 else 2)
-        return _assert_valid(g, _coloring_of(colors), f"odd-cycle triangle depth {depth}")
 
-    steps.append(
-        ReductionStep("Case2", depth, removed=(u, v, w), attachments=(a, b), super_vertex=u)
-    )
-    colors = _recurse_on(sub_edges, depth, steps)
-    p = colors[norm_edge(u, a)]
-    q = colors.pop(norm_edge(u, b))
-    colors[norm_edge(w, b)] = q
+def _splice_triangle(peel: _Peel, u: int, v: int, w: int, a: int, b: int) -> None:
+    # the contracted vertex u had edges ua and ub: ub goes back to w
+    p = peel.colors[norm_edge(u, a)]
+    q = peel.unpaint(u, b)
+    peel.paint(w, b, q)
     c = min(p, q)
     if {p, q} != {c, c + 1}:
         raise AssertionError(f"contracted vertex palette {{{p}, {q}}} is not a 2-run")
-    colors[norm_edge(u, w)] = 3 if c == 1 else c - 1
+    uw = 3 if c == 1 else c - 1
+    peel.paint(u, w, uw)
     # orientation of {c, c+1} over uv, vw: exactly one choice keeps the
-    # palettes at u and w gap-free; try one, validate locally, else swap
+    # palettes at u and w gap-free
     for uv_color, vw_color in ((c, c + 1), (c + 1, c)):
-        colors[norm_edge(u, v)] = uv_color
-        colors[norm_edge(v, w)] = vw_color
-        pu = sorted((p, uv_color, colors[norm_edge(u, w)]))
-        pw = sorted((q, vw_color, colors[norm_edge(u, w)]))
-        if (
-            len(set(pu)) == 3
-            and len(set(pw)) == 3
-            and pu[2] - pu[0] == 2
-            and pw[2] - pw[0] == 2
-        ):
+        if _is_3_run(p, uv_color, uw) and _is_3_run(q, vw_color, uw):
             break
     else:
         raise AssertionError(f"no orientation of {{{c}, {c + 1}}} fits at {u}, {w}")
-    return _assert_valid(g, _coloring_of(colors), f"triangle splice depth {depth}")
+    peel.paint(u, v, uv_color)
+    peel.paint(v, w, vw_color)
 
 
-def _color_rec(g: Graph, depth: int, steps: list[ReductionStep]) -> EdgeColoring:
-    if is_cycle_graph(g):
-        if g.n % 2 == 1:
-            raise AssertionError("recursion reached an odd cycle")
-        steps.append(ReductionStep("BaseEvenCycle", depth))
-        return _assert_valid(g, _coloring_of(_alternate_even_cycle(g)), "even cycle")
-    if g.m <= 5:
-        steps.append(ReductionStep("BaseSmall", depth))
-        for t in range(g.max_degree, 5):
-            col = find_interval_coloring(g, t)
-            if col is not None:
-                return _assert_valid(g, col, "small base case")
-        raise AssertionError(f"no coloring with at most 4 colors at {g.m} edges")
+def _color_rec(g: Graph, steps: list[ReductionStep]) -> EdgeColoring:
+    """Peel g down to a base case, color it, and splice back up.
 
-    cfg = find_reducible_config(g)
-    if isinstance(cfg, PairConfig):
-        if g.has_edge(cfg.x, cfg.y):
-            return _splice_pair_kept_edge(g, cfg, depth, steps)
-        return _splice_pair_new_edge(g, cfg, depth, steps)
-    return _splice_triangle(g, cfg, depth, steps)
+    Appends one ReductionStep per level to steps, with depth equal to
+    its index. The name predates the loops; perfbench/tracing.py wraps
+    the peel by it.
+    """
+    peel = _Peel(g)
+    rank = peel.ranks.rank
+    # per level: the splice rule, its vertices, the edges cut and added
+    undo: list[tuple[Callable[..., None], tuple[int, ...], list[Edge], list[Edge]]] = []
+    while True:
+        depth = len(steps)
+        live = peel.ranks.live
+        # a 2-connected graph with as many edges as vertices is a cycle
+        if peel.m == live:
+            if live % 2 == 1:
+                raise AssertionError("the peel reached an odd cycle")
+            steps.append(ReductionStep("BaseEvenCycle", depth))
+            _color_even_cycle(peel)
+            break
+        if peel.m <= 5:
+            steps.append(ReductionStep("BaseSmall", depth))
+            _color_small(peel)
+            break
+        cfg = peel.find_config()
+        if isinstance(cfg, PairConfig):
+            u, v, x, y = cfg.u, cfg.v, cfg.x, cfg.y
+            ids = {"removed": (rank(u), rank(v)), "attachments": (rank(x), rank(y))}
+            removed = [norm_edge(u, x), norm_edge(u, v), norm_edge(v, y)]
+            if y in peel.adj[x]:
+                if peel.m - 3 == live - 2 and live % 2 == 1:
+                    steps.append(ReductionStep("Case12OddCycle", depth, **ids))
+                    _color_odd_cycle_pair(peel, u, v, x, y)
+                    break
+                steps.append(ReductionStep("Case12", depth, **ids))
+                splice, added = _splice_pair_kept_edge, []
+            else:
+                steps.append(ReductionStep("Case11", depth, **ids))
+                splice, added = _splice_pair_new_edge, [norm_edge(x, y)]
+            verts, dead = (u, v, x, y), (u, v)
+        else:
+            u, v, w = cfg.u, cfg.v, cfg.w
+            (a,) = peel.adj[u] - {v, w}
+            (b,) = peel.adj[w] - {u, v}
+            if a == b:
+                # would make `a` a cut vertex, contradicting 2-connectedness
+                raise AssertionError(f"triangle {u},{v},{w} shares its external neighbor {a}")
+            steps.append(
+                ReductionStep(
+                    "Case2", depth, removed=(rank(u), rank(v), rank(w)),
+                    attachments=(rank(a), rank(b)), super_vertex=rank(u),
+                )
+            )
+            splice, verts, dead = _splice_triangle, (u, v, w, a, b), (v, w)
+            removed = [norm_edge(u, v), norm_edge(u, w), norm_edge(v, w), norm_edge(w, b)]
+            added = [norm_edge(u, b)]
+        peel.reduce(removed, added, dead)
+        undo.append((splice, verts, removed, added))
+
+    peel.check(peel.live_vertices(), f"{steps[-1].case} base at depth {len(undo)}")
+    for depth in reversed(range(len(undo))):
+        splice, verts, removed, added = undo[depth]
+        peel.restore(removed, added)
+        splice(peel, *verts)
+        peel.check({z for e in removed for z in e}, f"{steps[depth].case} splice at depth {depth}")
+    return _assert_valid(g, _coloring_of(peel.colors), "the end of the peel")
 
 
 def _check_preconditions(g: Graph) -> OuterEmbedding:
@@ -285,14 +454,19 @@ def _check_preconditions(g: Graph) -> OuterEmbedding:
     return emb
 
 
-def color_subcubic_le4_traced(g: Graph) -> tuple[EdgeColoring, tuple[ReductionStep, ...]]:
-    """Interval coloring with at most 4 colors, plus the reduction trace."""
-    _check_preconditions(g)
+def _color_checked(g: Graph) -> tuple[EdgeColoring, tuple[ReductionStep, ...]]:
+    # g has passed _check_preconditions
     steps: list[ReductionStep] = []
-    col = _color_rec(g, 0, steps)
+    col = _color_rec(g, steps)
     if col.t > 4:
         raise AssertionError(f"construction used {col.t} colors")
     return col, tuple(steps)
+
+
+def color_subcubic_le4_traced(g: Graph) -> tuple[EdgeColoring, tuple[ReductionStep, ...]]:
+    """Interval coloring with at most 4 colors, plus the reduction trace."""
+    _check_preconditions(g)
+    return _color_checked(g)
 
 
 def color_subcubic_le4(g: Graph) -> EdgeColoring:
@@ -335,7 +509,7 @@ def color_optimal_subcubic(g: Graph) -> tuple[int, EdgeColoring]:
     if g.n % 2 == 0:
         col = color_even_hamiltonian(g, emb)
         return 3, col
-    col = color_subcubic_le4(g)
+    col, _ = _color_checked(g)
     if col.t != 4:
         raise AssertionError(f"odd-order construction used {col.t} colors, wanted 4")
     return 4, col

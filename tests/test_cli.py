@@ -210,3 +210,22 @@ def test_malformed_edge_list_is_domain_error(capsys, monkeypatch):
     code, out, _ = run(["width"], capsys, monkeypatch, stdin_text="3\n0 1\n")
     assert code == 1
     assert json.loads(out)["verdict"] == "error"
+
+
+def test_color_verify_odd_cycle_with_chord_past_recursion_limit(capsys, monkeypatch):
+    n = 1001
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(0, 2)]
+    graph_text = f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    code, colored, _ = run(["color"], capsys, monkeypatch, stdin_text=graph_text)
+    assert code == 0
+    assert json.loads(colored)["t"] == 4
+    code, verdict_text, _ = run(["verify"], capsys, monkeypatch, stdin_text=colored)
+    assert code == 0
+    assert json.loads(verdict_text) == {"verdict": "ok", "t": 4, "edges": n + 1}
+
+
+def test_demo_deeply_nested_faces(capsys):
+    # the 1200-fan nests its faces about 1200 deep
+    code, out, _ = run(["demo-axenovich", "--n", "1200"], capsys)
+    assert code == 0
+    assert json.loads(out)["count"] == 1196

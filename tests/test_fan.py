@@ -122,3 +122,11 @@ def test_demo_triangles_are_apex_cells():
 def test_demo_rejects_small():
     with pytest.raises(ValueError):
         separating_triangle_demo(4)
+
+
+def test_color_fan_hands_out_its_own_assignment():
+    first = color_fan(5)
+    first.assignment[next(iter(first.assignment))] = 99
+    second = color_fan(5)
+    assert second.assignment is not first.assignment
+    assert second == load_base_table()[5]

@@ -1,13 +1,20 @@
 import pytest
 
+from outercolor import subcubic
 from outercolor.coloring import is_interval_coloring
 from outercolor.graphs import (
     gen_cycle,
     gen_random_outerplanar_subcubic,
     gen_triangular_fan,
     make_graph,
+    norm_edge,
 )
-from outercolor.outerplanar import OuterEmbedding, recognize_outerplanar_2connected
+from outercolor.outerplanar import (
+    OuterEmbedding,
+    PairConfig,
+    find_reducible_config,
+    recognize_outerplanar_2connected,
+)
 from outercolor.solver import Colored, find_interval_coloring, width
 from outercolor.subcubic import (
     ColoringPreconditionError,
@@ -89,28 +96,9 @@ def test_triangle_contraction_path():
             assert s.super_vertex == s.removed[0]
 
 
-def test_triangle_contraction_into_odd_cycle_branch():
-    # the public entry prefers pairs, and a no-pair graph always keeps a
-    # chord after contraction, so this branch is reachable only by
-    # invoking the triangle splice directly
-    from outercolor.outerplanar import TriangleConfig
-    from outercolor.subcubic import _splice_triangle
-
-    g = house()
-    steps = []
-    col = _splice_triangle(g, TriangleConfig(0, 1, 2), 0, steps)
-    assert is_interval_coloring(g, col)
-    assert col.t == 4
-    assert steps[0].case == "Case2OddCycle"
-    assert col.assignment == {
-        (0, 4): 4, (3, 4): 3, (2, 3): 2, (0, 2): 3, (0, 1): 2, (1, 2): 1,
-    }
-
-
 def test_trace_cases_are_known_tags():
     allowed = {
-        "Case11", "Case12", "Case12OddCycle", "Case2", "Case2OddCycle",
-        "BaseSmall", "BaseEvenCycle",
+        "Case11", "Case12", "Case12OddCycle", "Case2", "BaseSmall", "BaseEvenCycle",
     }
     for n in range(4, 14):
         for seed in range(5):
@@ -187,6 +175,16 @@ def test_optimal_odd_is_four_and_solver_confirms():
     assert find_interval_coloring(g, 3) is None
 
 
+def test_optimal_odd_recognizes_once(monkeypatch):
+    calls = []
+    recognize = subcubic.recognize_outerplanar_2connected
+    monkeypatch.setattr(
+        subcubic, "recognize_outerplanar_2connected", lambda g: calls.append(g) or recognize(g)
+    )
+    assert color_optimal_subcubic(house())[0] == 4
+    assert len(calls) == 1
+
+
 def test_optimal_matches_solver_width_small():
     for n in range(4, 10):
         for seed in range(4):
@@ -231,3 +229,79 @@ def test_deep_recursion_long_cycle_one_chord():
     assert col.t <= 4
     assert len(steps) >= 5
     assert [s.depth for s in steps] == list(range(len(steps)))
+
+
+def test_peel_scales_past_the_recursion_limit():
+    # 2001-cycle plus chords (i, i+2) for i = 0, 4, 8, ...: about 1000
+    # levels, deeper than the default recursion limit
+    n = 2001
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, i + 2) for i in range(0, n - 2, 4)]
+    g = make_graph(n, edges)
+    col, steps = color_subcubic_le4_traced(g)
+    assert col.t == 4
+    assert is_interval_coloring(g, col)
+    assert [s.depth for s in steps] == list(range(len(steps)))
+    assert {"Case11", "Case2"} <= {s.case for s in steps}
+
+
+def test_peel_picks_what_find_reducible_config_picks():
+    # rebuild every level as its own graph, ids compressed, and check the
+    # recorded step against the reference configuration search
+    for n in range(7, 40, 4):
+        for seed in range(3):
+            g = gen_random_outerplanar_subcubic(n, seed)
+            _, steps = color_subcubic_le4_traced(g)
+            level = g
+            for step in steps:
+                if step.case.startswith("Base"):
+                    assert step is steps[-1]
+                    break
+                cfg = find_reducible_config(level)
+                edges = set(level.edges)
+                if isinstance(cfg, PairConfig):
+                    u, v, x, y = cfg.u, cfg.v, cfg.x, cfg.y
+                    assert step.case.startswith("Case12" if level.has_edge(x, y) else "Case11")
+                    assert (step.removed, step.attachments) == ((u, v), (x, y))
+                    edges -= {norm_edge(u, x), norm_edge(u, v), norm_edge(v, y)}
+                    if step.case == "Case11":
+                        edges.add(norm_edge(x, y))
+                else:
+                    u, v, w = cfg.u, cfg.v, cfg.w
+                    (a,) = set(level.neighbors(u)) - {v, w}
+                    (b,) = set(level.neighbors(w)) - {u, v}
+                    assert step.case == "Case2"
+                    assert (step.removed, step.attachments) == ((u, v, w), (a, b))
+                    assert step.super_vertex == u
+                    edges -= {norm_edge(u, v), norm_edge(u, w), norm_edge(v, w), norm_edge(w, b)}
+                    edges.add(norm_edge(u, b))
+                if step.case == "Case12OddCycle":
+                    assert step is steps[-1]
+                    break
+                verts = sorted({z for e in edges for z in e})
+                index = {z: i for i, z in enumerate(verts)}
+                level = make_graph(len(verts), [(index[p], index[q]) for p, q in edges])
+
+
+@pytest.mark.parametrize(
+    "rule, case", [
+        ("_splice_pair_new_edge", "Case11"),
+        ("_splice_pair_kept_edge", "Case12"),
+        ("_splice_triangle", "Case2"),
+    ],
+)
+def test_wrong_splice_color_fails_at_its_depth(monkeypatch, rule, case):
+    # the up loop splices the deepest level first, so the first faulty
+    # splice of a rule is the deepest step of its case
+    g = gen_random_outerplanar_subcubic(41, 0)
+    _, steps = color_subcubic_le4_traced(g)
+    depth = max(s.depth for s in steps if s.case == case)
+    original = getattr(subcubic, rule)
+
+    def faulty(peel, u, v, x_or_w, *rest):
+        original(peel, u, v, x_or_w, *rest)
+        # uv takes the color of u's other restored edge: u is not proper
+        peel.paint(u, v, peel.colors[norm_edge(u, x_or_w)])
+
+    monkeypatch.setattr(subcubic, rule, faulty)
+    with pytest.raises(AssertionError, match=rf"{case} splice at depth {depth}: not-proper"):
+        color_subcubic_le4_traced(g)
