@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from .coloring import (
     ColoringError,
@@ -37,12 +38,12 @@ from .graphs import (
 )
 from .outerplanar import OuterEmbedding, recognize_outerplanar_2connected
 from .solver import (
+    BudgetExceeded,
     Colored,
     ExhaustedAllT,
     Inconclusive,
     NotColorable,
     OddCycleCertificate,
-    ParityCertificate,
     find_interval_coloring,
     width,
 )
@@ -77,15 +78,6 @@ def _certificate_json(cert) -> dict:
         return {"kind": "odd-cycle", "n": cert.n}
     if isinstance(cert, ExhaustedAllT):
         return {"kind": "exhausted-all-t", "t_max": cert.t_max, "reason": cert.reason}
-    if isinstance(cert, ParityCertificate):
-        return {
-            "kind": "parity",
-            "k": cert.k,
-            "l": cert.l,
-            "m": cert.m,
-            "vertex": cert.vertex,
-            "cases": len(cert.cases),
-        }
     raise AssertionError(f"unknown certificate {cert!r}")
 
 
@@ -120,7 +112,7 @@ def _need(parser: argparse.ArgumentParser, args: argparse.Namespace, name: str) 
     return value
 
 
-def _cmd_recognize(args: argparse.Namespace) -> int:
+def _cmd_recognize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     g = _load_graph(args.graph_in)
     result = recognize_outerplanar_2connected(g)
     if isinstance(result, OuterEmbedding):
@@ -139,7 +131,7 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_color(args: argparse.Namespace) -> int:
+def _cmd_color(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     g = _load_graph(args.graph_in)
     if args.method == "construct":
         try:
@@ -160,57 +152,64 @@ def _cmd_color(args: argparse.Namespace) -> int:
                     f" attachments={step.attachments}",
                     file=sys.stderr,
                 )
-        _emit(_coloring_output(g, col, args.format), args.out)
-        return 0
-    if args.t is not None:
-        found = find_interval_coloring(g, args.t)
-        if found is None:
+    elif args.t is not None:
+        deadline = None
+        if args.budget_ms is not None:
+            deadline = time.monotonic() + args.budget_ms / 1000.0
+        try:
+            col = find_interval_coloring(g, args.t, deadline=deadline)
+        except BudgetExceeded:
+            return _emit_negative(Inconclusive(bound_exhausted_at=args.t), args.out)
+        if col is None:
             _emit(_verdict({"verdict": "no-coloring-at-t", "t": args.t}), args.out)
             return 1
-        _emit(_coloring_output(g, found, args.format), args.out)
-        return 0
+    else:
+        outcome = _run_width(g, args)
+        if outcome is None:
+            return 1
+        col = outcome.coloring
+    _emit(_coloring_output(g, col, args.format), args.out)
+    return 0
+
+
+def _run_width(g: Graph, args: argparse.Namespace) -> Colored | None:
+    """`width` on g, shared by `width` and `color --method exact`: a
+    negative outcome is emitted as its verdict and comes back as None."""
     outcome = width(g, budget_ms=args.budget_ms)
     if isinstance(outcome, Colored):
-        _emit(_coloring_output(g, outcome.coloring, args.format), args.out)
-        return 0
-    return _emit_negative_width(outcome, args.out)
+        return outcome
+    _emit_negative(outcome, args.out)
+    return None
 
 
-def _emit_negative_width(outcome, out: str | None) -> int:
+def _emit_negative(outcome: NotColorable | Inconclusive, out: str | None) -> int:
     if isinstance(outcome, NotColorable):
-        _emit(
-            _verdict(
-                {"verdict": "not-colorable", "certificate": _certificate_json(outcome.certificate)}
-            ),
-            out,
-        )
+        cert = _certificate_json(outcome.certificate)
+        verdict = {"verdict": "not-colorable", "certificate": cert}
     else:
-        _emit(
-            _verdict({"verdict": "inconclusive", "bound_exhausted_at": outcome.bound_exhausted_at}),
-            out,
-        )
+        verdict = {"verdict": "inconclusive", "bound_exhausted_at": outcome.bound_exhausted_at}
+    _emit(_verdict(verdict), out)
     return 1
 
 
-def _cmd_width(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph_in)
-    outcome = width(g, budget_ms=args.budget_ms)
-    if isinstance(outcome, Colored):
-        _emit(
-            _verdict(
-                {
-                    "verdict": "colored",
-                    "t": outcome.t,
-                    "coloring": json.loads(coloring_to_json(outcome.coloring)),
-                }
-            ),
-            args.out,
-        )
-        return 0
-    return _emit_negative_width(outcome, args.out)
+def _cmd_width(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    outcome = _run_width(_load_graph(args.graph_in), args)
+    if outcome is None:
+        return 1
+    _emit(
+        _verdict(
+            {
+                "verdict": "colored",
+                "t": outcome.t,
+                "coloring": json.loads(coloring_to_json(outcome.coloring)),
+            }
+        ),
+        args.out,
+    )
+    return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     try:
         col = coloring_from_json(_read_text(args.graph_in))
         g = graph_of_coloring(col)
@@ -268,7 +267,7 @@ def _cmd_demo(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _cmd_export_dot(args: argparse.Namespace) -> int:
+def _cmd_export_dot(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     text = _read_text(args.graph_in)
     if text.lstrip().startswith("{"):
         col = coloring_from_json(text)
@@ -292,6 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("gen", help="generate a graph family member as an edge list")
+    p.set_defaults(func=_cmd_gen)
     p.add_argument("--family", choices=["cycle", "tf", "tklm", "random"], required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
@@ -301,9 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="FILE", help="output file (default stdout)")
 
     p = subs.add_parser("recognize", help="test 2-connected outerplanarity, emit embedding")
+    p.set_defaults(func=_cmd_recognize)
     _add_io(p)
 
     p = subs.add_parser("color", help="interval-color a graph")
+    p.set_defaults(func=_cmd_color)
     _add_io(p)
     p.add_argument("--method", choices=["construct", "exact"], default="construct")
     p.add_argument("--t", type=int, help="exact search at this color count only")
@@ -312,13 +314,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true", help="reduction steps on stderr")
 
     p = subs.add_parser("width", help="exact minimum color count by exhaustive search")
+    p.set_defaults(func=_cmd_width)
     _add_io(p)
     p.add_argument("--budget-ms", type=int, dest="budget_ms")
 
     p = subs.add_parser("verify", help="validate a coloring JSON document")
+    p.set_defaults(func=_cmd_verify)
     _add_io(p)
 
     p = subs.add_parser("fan", help="color the n-fan with exactly max-degree colors")
+    p.set_defaults(func=_cmd_fan)
     p.add_argument("--n", type=int)
     p.add_argument("--format", choices=["json", "dot"], default="json")
     p.add_argument("--out", metavar="FILE", help="output file (default stdout)")
@@ -327,10 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
         "demo-axenovich",
         help="fan report: separating triangles do not block interval coloring",
     )
+    p.set_defaults(func=_cmd_demo)
     p.add_argument("--n", type=int)
     p.add_argument("--out", metavar="FILE", help="output file (default stdout)")
 
     p = subs.add_parser("export-dot", help="DOT export of an edge list or coloring JSON")
+    p.set_defaults(func=_cmd_export_dot)
     _add_io(p)
 
     return parser
@@ -340,21 +347,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "gen":
-            return _cmd_gen(args, parser)
-        if args.command == "recognize":
-            return _cmd_recognize(args)
-        if args.command == "color":
-            return _cmd_color(args)
-        if args.command == "width":
-            return _cmd_width(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "fan":
-            return _cmd_fan(args, parser)
-        if args.command == "demo-axenovich":
-            return _cmd_demo(args, parser)
-        return _cmd_export_dot(args)
+        return args.func(args, parser)
     except (GraphError, ColoringError) as exc:
         _emit(_verdict({"verdict": "error", "detail": str(exc)}), getattr(args, "out", None))
         return 1

@@ -43,9 +43,6 @@ class EdgeColoring:
                 raise ColoringError(f"color {c!r} on edge ({u}, {v}) is not an int")
         object.__setattr__(self, "assignment", frozen)
 
-    def color(self, u: int, v: int) -> int:
-        return self.assignment[norm_edge(u, v)]
-
     def palette(self, g: Graph, v: int) -> tuple[int, ...]:
         """Sorted colors on the edges at v."""
         return tuple(sorted(self.assignment[norm_edge(v, w)] for w in g.neighbors(v)))
@@ -140,12 +137,6 @@ def shift(coloring: EdgeColoring, k: int) -> EdgeColoring:
     """Translate every color by k, stretching t to keep colors in range."""
     new = {e: c + k for e, c in coloring.assignment.items()}
     return EdgeColoring(max(coloring.t + k, max(new.values())), new)
-
-
-def parity_split(lo: int, size: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The interval [lo, lo+size) split into (even colors, odd colors)."""
-    block = range(lo, lo + size)
-    return tuple(c for c in block if c % 2 == 0), tuple(c for c in block if c % 2 == 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Interval colorings of triangular fans using exactly max-degree colors.
 
-Small fans (n <= 8) come from a golden table recovered by constrained
-exact search; larger fans grow from the n=7 or n=8 entry by repeating a
-fixed local recoloring-free extension step that adds one fan cell pair
-and eight edges per step. Every produced coloring is re-validated, and
-since any interval coloring needs at least max-degree colors, hitting
-exactly that many certifies the fan's width.
+Small fans (n <= 8) come from a base table that the exact solver derives
+under constraints on first use, once per process; larger fans grow from
+the n=7 or n=8 entry by repeating a fixed local recoloring-free
+extension step that adds one fan cell pair and eight edges per step.
+Every produced coloring is re-validated, and since any interval coloring
+needs at least max-degree colors, hitting exactly that many certifies
+the fan's width.
 
 The table entries for n=7 and n=8 are not arbitrary: the extension step
 reads the palettes at the apex and at the last fan vertex, so the search
@@ -16,22 +17,17 @@ step), and the validator re-checks every n regardless.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cache
-from importlib import resources
 
-from .coloring import EdgeColoring, check_interval_coloring, coloring_from_json
-from .graphs import Graph, Labels, gen_triangular_fan, norm_edge
+from .coloring import EdgeColoring, check_interval_coloring
+from .graphs import Edge, Labels, gen_triangular_fan, norm_edge
 from .outerplanar import (
     OuterEmbedding,
     recognize_outerplanar_2connected,
     separating_triangles,
 )
 from .solver import find_interval_coloring
-
-# label-space edge: (("u"|"v"|"w", index), (kind, index)) sorted
-LabelEdge = tuple[tuple[str, int], tuple[str, int]]
 
 
 def fan_max_degree(n: int) -> int:
@@ -42,69 +38,32 @@ def fan_max_degree(n: int) -> int:
     return 3 if n == 3 else max(n - 1, 5)
 
 
-def _parse_label(name: str) -> tuple[str, int]:
-    if name == "u":
-        return ("u", 0)
-    return (name[0], int(name[1:]))
+def _extend(colors: dict[Edge, int], ids: dict[str, int], k: int) -> None:
+    """Grow a k-fan coloring into a (k+2)-fan coloring in place: add
+    v_k, v_{k+1}, w_{k-1}, w_k and their eight edges. ids maps role
+    names to the vertex ids of the target fan."""
+    u = ids["u"]
+
+    def v(i: int) -> int:
+        return ids[f"v{i}"]
+
+    def w(i: int) -> int:
+        return ids[f"w{i}"]
+
+    for a, b, c in (
+        (u, v(k), k + 1),
+        (u, v(k + 1), k),
+        (v(k), w(k - 1), k - 2),
+        (w(k), v(k + 1), k - 2),
+        (v(k), v(k + 1), k - 1),
+        (v(k - 1), w(k - 1), k - 1),
+        (v(k - 1), v(k), k),
+        (v(k), w(k), k - 3),
+    ):
+        colors[norm_edge(a, b)] = c
 
 
-def _label_edge(a: tuple[str, int], b: tuple[str, int]) -> LabelEdge:
-    return (a, b) if a <= b else (b, a)
-
-
-def _to_label_space(col: EdgeColoring, labels: Labels) -> dict[LabelEdge, int]:
-    named = {v: _parse_label(name) for v, name in labels.items()}
-    return {
-        _label_edge(named[u], named[v]): c for (u, v), c in col.assignment.items()
-    }
-
-
-def _to_id_space(lab: dict[LabelEdge, int], labels: Labels, t: int) -> EdgeColoring:
-    ids = {_parse_label(name): v for v, name in labels.items()}
-    return EdgeColoring(
-        t, {norm_edge(ids[a], ids[b]): c for (a, b), c in lab.items()}
-    )
-
-
-def _u() -> tuple[str, int]:
-    return ("u", 0)
-
-
-def _v(i: int) -> tuple[str, int]:
-    return ("v", i)
-
-
-def _w(i: int) -> tuple[str, int]:
-    return ("w", i)
-
-
-def _extend_odd(lab: dict[LabelEdge, int], i: int) -> None:
-    """Grow a (2i+1)-fan coloring into a (2i+3)-fan coloring in place."""
-    e = _label_edge
-    lab[e(_u(), _v(2 * i + 1))] = 2 * i + 2
-    lab[e(_u(), _v(2 * i + 2))] = 2 * i + 1
-    lab[e(_v(2 * i + 1), _w(2 * i))] = 2 * i - 1
-    lab[e(_w(2 * i + 1), _v(2 * i + 2))] = 2 * i - 1
-    lab[e(_v(2 * i + 1), _v(2 * i + 2))] = 2 * i
-    lab[e(_v(2 * i), _w(2 * i))] = 2 * i
-    lab[e(_v(2 * i), _v(2 * i + 1))] = 2 * i + 1
-    lab[e(_v(2 * i + 1), _w(2 * i + 1))] = 2 * i - 2
-
-
-def _extend_even(lab: dict[LabelEdge, int], i: int) -> None:
-    """Grow a (2i+2)-fan coloring into a (2i+4)-fan coloring in place."""
-    e = _label_edge
-    lab[e(_u(), _v(2 * i + 2))] = 2 * i + 3
-    lab[e(_u(), _v(2 * i + 3))] = 2 * i + 2
-    lab[e(_v(2 * i + 2), _w(2 * i + 1))] = 2 * i
-    lab[e(_w(2 * i + 2), _v(2 * i + 3))] = 2 * i
-    lab[e(_v(2 * i + 2), _v(2 * i + 3))] = 2 * i + 1
-    lab[e(_v(2 * i + 1), _w(2 * i + 1))] = 2 * i + 1
-    lab[e(_v(2 * i + 1), _v(2 * i + 2))] = 2 * i + 2
-    lab[e(_v(2 * i + 2), _w(2 * i + 2))] = 2 * i - 1
-
-
-def _base_constraints(n: int, g: Graph, labels: Labels) -> dict[int, frozenset[int]] | None:
+def _base_constraints(n: int, labels: Labels) -> dict[int, frozenset[int]] | None:
     # the first extension step adds colors {t, t+1} at the apex and
     # {t-3, t-2, t-1}-ish at the boundary; concretely it needs the apex
     # palette 1..t and the last fan vertex to sit three below the top
@@ -125,16 +84,16 @@ def _base_constraints(n: int, g: Graph, labels: Labels) -> dict[int, frozenset[i
 def derive_base_table() -> dict[int, EdgeColoring]:
     """Search out the six base colorings (n = 3..8) with the exact solver.
 
-    Deterministic: the solver's first solution is taken, so regenerating
-    the table always reproduces the shipped golden data. The n=7 and n=8
-    entries are searched under the extension-compatibility constraints
-    and then proof-tested by actually extending them twice.
+    Deterministic: the solver's first solution is taken, so every run
+    yields the same table. The n=7 and n=8 entries are searched under the
+    extension-compatibility constraints and then proof-tested by actually
+    extending them twice.
     """
     table: dict[int, EdgeColoring] = {}
     for n in range(3, 9):
         g, labels = gen_triangular_fan(n)
         t = fan_max_degree(n)
-        col = find_interval_coloring(g, t, require_palettes=_base_constraints(n, g, labels))
+        col = find_interval_coloring(g, t, require_palettes=_base_constraints(n, labels))
         if col is None:
             raise AssertionError(f"no interval {t}-coloring of the {n}-fan found")
         table[n] = col
@@ -151,40 +110,33 @@ def derive_base_table() -> dict[int, EdgeColoring]:
 
 
 def _extended_from(base: EdgeColoring, base_n: int, n: int) -> EdgeColoring:
+    """The n-fan coloring grown from the base_n-fan coloring, n - base_n even."""
     _, base_labels = gen_triangular_fan(base_n)
-    lab = _to_label_space(base, base_labels)
-    if base_n % 2 == 1:
-        for i in range(3, (n - 3) // 2 + 1):
-            _extend_odd(lab, i)
-    else:
-        for i in range(3, (n - 4) // 2 + 1):
-            _extend_even(lab, i)
     _, labels = gen_triangular_fan(n)
-    return _to_id_space(lab, labels, fan_max_degree(n))
+    ids = {name: v for v, name in labels.items()}
+    colors = {
+        norm_edge(ids[base_labels[a]], ids[base_labels[b]]): c
+        for (a, b), c in base.assignment.items()
+    }
+    for k in range(base_n, n, 2):
+        _extend(colors, ids, k)
+    return EdgeColoring(fan_max_degree(n), colors)
 
 
-def load_base_table() -> dict[int, EdgeColoring]:
-    """The golden base colorings shipped with the package."""
-    text = resources.files("outercolor").joinpath("data/fan_base_table.json").read_text()
-    raw = json.loads(text)
-    return {int(n): coloring_from_json(json.dumps(entry)) for n, entry in raw.items()}
-
-
-@cache
-def _base_table() -> dict[int, EdgeColoring]:
-    # read once per process; every entry handed out is a copy
-    return load_base_table()
+# derived once per process; color_fan hands out copies of the entries
+load_base_table = cache(derive_base_table)
 
 
 def color_fan(n: int) -> EdgeColoring:
     """Interval coloring of the n-fan with exactly max-degree colors."""
     if n < 3:
         raise ValueError(f"fan needs n >= 3, got {n}")
-    table = _base_table()
+    table = load_base_table()
     if n <= 8:
         col = EdgeColoring(table[n].t, table[n].assignment)  # copies the assignment
     else:
-        col = _extended_from(table[7 if n % 2 == 1 else 8], 7 if n % 2 == 1 else 8, n)
+        base_n = 7 if n % 2 == 1 else 8
+        col = _extended_from(table[base_n], base_n, n)
     g, _ = gen_triangular_fan(n)
     bad = check_interval_coloring(g, col)
     if bad is not None:

@@ -31,10 +31,6 @@ class OuterEmbedding:
     def positions(self) -> dict[int, int]:
         return {v: i for i, v in enumerate(self.order)}
 
-    def cycle_edges(self) -> set[Edge]:
-        n = len(self.order)
-        return {norm_edge(self.order[i], self.order[(i + 1) % n]) for i in range(n)}
-
 
 @dataclass(frozen=True)
 class Rejection:
@@ -163,16 +159,6 @@ def recognize_outerplanar_2connected(g: Graph) -> OuterEmbedding | Rejection:
             pos = order.index(x) + 1
         order.insert(pos, v)
     return verify_embedding(g, order)
-
-
-def outer_cycle(emb: OuterEmbedding) -> list[int]:
-    """The canonical outer walk as a list, starting at vertex 0."""
-    return list(emb.order)
-
-
-def internal_edges(g: Graph, emb: OuterEmbedding) -> set[Edge]:
-    """Edges of g not on the outer cycle."""
-    return set(emb.chords)
 
 
 def bounded_faces(emb: OuterEmbedding) -> list[tuple[int, ...]]:

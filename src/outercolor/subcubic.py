@@ -469,13 +469,6 @@ def color_subcubic_le4_traced(g: Graph) -> tuple[EdgeColoring, tuple[ReductionSt
     return _color_checked(g)
 
 
-def color_subcubic_le4(g: Graph) -> EdgeColoring:
-    """Interval coloring of a 2-connected outerplanar graph with maximum
-    degree at most 3 (and not an odd cycle), never exceeding 4 colors."""
-    col, _ = color_subcubic_le4_traced(g)
-    return col
-
-
 def color_even_hamiltonian(g: Graph, emb: OuterEmbedding) -> EdgeColoring:
     """Exactly-3-color construction for even order and max degree 3:
     alternate 1, 2 around the outer cycle, give every chord color 3.

@@ -109,6 +109,43 @@ def test_color_exact_at_fixed_t(capsys, monkeypatch):
     assert json.loads(out) == {"verdict": "no-coloring-at-t", "t": 4}
 
 
+def test_color_exact_at_fixed_t_keeps_the_budget(capsys, monkeypatch):
+    # exhausting t=7 on T_{2,2,2} takes far longer than 1 ms
+    _, graph_text, _ = run(
+        ["gen", "--family", "tklm", "--k", "2", "--l", "2", "--m", "2"], capsys
+    )
+    code, out, _ = run(
+        ["color", "--method", "exact", "--t", "7", "--budget-ms", "1"],
+        capsys,
+        monkeypatch,
+        stdin_text=graph_text,
+    )
+    assert code == 1
+    assert json.loads(out) == {"verdict": "inconclusive", "bound_exhausted_at": 7}
+
+
+@pytest.mark.parametrize(
+    "gen_argv",
+    [
+        ["--family", "cycle", "--n", "4"],
+        ["--family", "random", "--n", "8", "--seed", "1"],
+        ["--family", "tklm", "--k", "1", "--l", "1", "--m", "1"],
+    ],
+)
+def test_color_exact_without_t_matches_width(gen_argv, capsys, monkeypatch):
+    _, graph_text, _ = run(["gen", *gen_argv], capsys)
+    width_code, width_out, _ = run(["width"], capsys, monkeypatch, stdin_text=graph_text)
+    code, out, _ = run(
+        ["color", "--method", "exact"], capsys, monkeypatch, stdin_text=graph_text
+    )
+    assert code == width_code
+    verdict = json.loads(width_out)
+    if verdict["verdict"] == "colored":
+        assert json.loads(out) == verdict["coloring"]
+    else:
+        assert out == width_out
+
+
 def test_width_not_colorable_triangle_paths(capsys, monkeypatch):
     _, graph_text, _ = run(
         ["gen", "--family", "tklm", "--k", "1", "--l", "1", "--m", "1"], capsys

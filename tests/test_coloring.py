@@ -10,7 +10,6 @@ from outercolor.coloring import (
     graph_of_coloring,
     is_interval_coloring,
     normalize,
-    parity_split,
     shift,
 )
 from outercolor.graphs import gen_cycle, make_graph
@@ -112,12 +111,6 @@ def test_verdict_invariant_under_shift_after_normalize():
         a = check_interval_coloring(g, normalize(shift(col, k)))
         b = check_interval_coloring(g, normalize(col))
         assert a == b
-
-
-def test_parity_split():
-    assert parity_split(1, 4) == ((2, 4), (1, 3))
-    assert parity_split(2, 3) == ((2, 4), (3,))
-    assert parity_split(5, 1) == ((), (5,))
 
 
 def test_json_roundtrip_and_stability():

@@ -1,6 +1,8 @@
+import hashlib
+
 import pytest
 
-from outercolor.coloring import check_interval_coloring
+from outercolor.coloring import check_interval_coloring, coloring_to_json
 from outercolor.fan import (
     FanReport,
     _extended_from,
@@ -27,9 +29,27 @@ def test_max_degree_matches_graph():
         assert g.max_degree == fan_max_degree(n)
 
 
-def test_golden_table_regenerates():
-    # the derivation is deterministic, so the shipped data must match
-    assert derive_base_table() == load_base_table()
+# The base table is the exact solver's first solution under the
+# extension constraints, and every larger fan grows from it. A change to
+# the solver's search order may pick other base colorings: such a change
+# must update these digests on purpose.
+BASE_TABLE_SHA256 = "37b0c683337eba8e9cd63214479bd23dad84f8d77e48a6ff31ad47daa6a2875f"
+FANS_3_TO_60_SHA256 = "ea7bb9fbc60a83991f89099f1df28e172e6f1bfb9d016eefc280dce33fd86e2e"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_base_table_digest():
+    table = derive_base_table()
+    assert _sha256("".join(coloring_to_json(table[n]) for n in range(3, 9))) == BASE_TABLE_SHA256
+    assert load_base_table() == table
+
+
+def test_color_fan_digest():
+    text = "".join(coloring_to_json(color_fan(n)) for n in range(3, 61))
+    assert _sha256(text) == FANS_3_TO_60_SHA256
 
 
 def test_base_table_shape():

@@ -20,7 +20,6 @@ from outercolor.subcubic import (
     ColoringPreconditionError,
     color_even_hamiltonian,
     color_optimal_subcubic,
-    color_subcubic_le4,
     color_subcubic_le4_traced,
 )
 
@@ -35,14 +34,14 @@ def house():
 
 
 def test_even_cycle_two_colors():
-    col = color_subcubic_le4(gen_cycle(6))
+    col = color_subcubic_le4_traced(gen_cycle(6))[0]
     assert col.t == 2
     assert is_interval_coloring(gen_cycle(6), col)
 
 
 def test_diamond_base_case():
     g = make_graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
-    col = color_subcubic_le4(g)
+    col = color_subcubic_le4_traced(g)[0]
     assert col.t <= 4
     assert is_interval_coloring(g, col)
     # the exact solver agrees such a coloring exists at this t
@@ -51,7 +50,7 @@ def test_diamond_base_case():
 
 def test_chorded_hexagon_construction():
     g = chorded_hexagon()
-    col = color_subcubic_le4(g)
+    col = color_subcubic_le4_traced(g)[0]
     assert col.t <= 4
     assert is_interval_coloring(g, col)
 
@@ -113,7 +112,7 @@ def test_random_corpus_validates_at_most_4():
     for n in range(4, 15):
         for seed in range(10):
             g = gen_random_outerplanar_subcubic(n, seed)
-            col = color_subcubic_le4(g)
+            col = color_subcubic_le4_traced(g)[0]
             assert col.t <= 4
             assert is_interval_coloring(g, col)
 
@@ -209,14 +208,14 @@ def test_optimal_parity_rule():
 def test_precondition_errors():
     k4 = make_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     with pytest.raises(ColoringPreconditionError, match="edge-bound"):
-        color_subcubic_le4(k4)
+        color_subcubic_le4_traced(k4)
     with pytest.raises(ColoringPreconditionError, match="odd cycle"):
-        color_subcubic_le4(gen_cycle(5))
+        color_subcubic_le4_traced(gen_cycle(5))
     fan5, _ = gen_triangular_fan(5)
     with pytest.raises(ColoringPreconditionError, match="degree"):
-        color_subcubic_le4(fan5)
+        color_subcubic_le4_traced(fan5)
     with pytest.raises(ColoringPreconditionError, match="not a 2-connected"):
-        color_subcubic_le4(make_graph(4, [(0, 1), (2, 3)]))
+        color_subcubic_le4_traced(make_graph(4, [(0, 1), (2, 3)]))
     with pytest.raises(ColoringPreconditionError):
         color_optimal_subcubic(gen_cycle(6))  # max degree 2, not 3
 
