@@ -188,42 +188,47 @@ def gen_triangle_graph(k: int, l: int, m: int) -> tuple[Graph, Labels]:
     return make_graph(nxt, edges), labels
 
 
-def _chords_cross(a: Edge, b: Edge) -> bool:
-    # Positions on the base cycle equal vertex ids here; endpoints sorted.
-    (p, q), (r, s) = a, b
-    return (p < r < q < s) or (r < p < s < q)
-
-
 def gen_random_outerplanar_subcubic(n: int, seed: int) -> Graph:
     """Outer cycle 0..n-1 plus a random set of pairwise non-crossing,
-    vertex-disjoint chords (so every degree is at most 3), with at least
-    one chord. Deterministic for a fixed seed.
+    vertex-disjoint chords (so every degree is at most 3).
+
+    Contract: deterministic for a fixed seed; at least one chord, and
+    exactly one at n = 4 and n = 5, where no two such chords fit; a seeded
+    coin picks a dense mode, where few positions stay chord-free, or a
+    sparse mode, where most do.
+
+    The chords are read off a random bracket word over the positions
+    0..n-1, drawn left to right in O(n) time and memory: each position
+    opens a chord, closes the innermost open one, or stays chord-free. A
+    chord spans at least two positions and is never the cycle edge
+    (0, n-1), and a position may open a chord only if every open chord can
+    still be closed after it.
     """
     if n < 4:
         raise GraphError(f"random subcubic family needs n >= 4, got {n}")
     rng = random.Random(seed)
-    candidates = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 2, n)
-        if not (i == 0 and j == n - 1)
-    ]
-    rng.shuffle(candidates)
-    go_maximal = rng.random() < 0.5
-    chosen: list[Edge] = []
-    used: set[int] = set()
-    for a, b in candidates:
-        if a in used or b in used:
-            continue
-        if any(_chords_cross((a, b), c) for c in chosen):
-            continue
-        if go_maximal or rng.random() < 0.5:
-            chosen.append((a, b))
-            used.update((a, b))
-    if not chosen:
-        chosen = [candidates[0]]
+    skip_weight = 0.25 if rng.random() < 0.5 else 4.0
+    chords: list[Edge] = []
+    opened: list[int] = []
+    for i in range(n):
+        # the open chords need one closing position each after i, plus a
+        # gap after a chord opened at i, plus position n-1 left unused when
+        # the outermost one starts at 0
+        left = n - 1 - i
+        from_0 = opened[:1] == [0]
+        can_close = bool(opened) and opened[-1] <= i - 2
+        can_open = left >= len(opened) + 2 + (from_0 or i == 0)
+        can_skip = left >= len(opened) + from_0
+        x = rng.random() * (can_close + can_open + can_skip * skip_weight)
+        if x < can_close:
+            chords.append((opened.pop(), i))
+        elif x < can_close + can_open:
+            opened.append(i)
+    if not chords:
+        a = rng.randrange(n - 2)
+        chords.append((a, a + 2))
     cycle = [(i, (i + 1) % n) for i in range(n)]
-    return make_graph(n, cycle + chosen)
+    return make_graph(n, cycle + chords)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,14 @@ plus pairwise non-crossing chords. Recognition reduces the graph by
 repeatedly deleting degree-2 vertices, replays the deletions to rebuild
 the outer cycle, and then verifies the result from scratch. The replay
 can produce garbage on non-outerplanar inputs; the final verification is
-what makes acceptance sound.
+what makes acceptance sound. Recognition, verification and face
+extraction each run in O((n + m) log n) time.
 """
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .graphs import Edge, Graph, is_connected, norm_edge
@@ -72,11 +75,6 @@ class TriangleConfig:
 ReducibleConfig = PairConfig | TriangleConfig
 
 
-def _chords_cross_in_positions(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    (p, q), (r, s) = a, b
-    return (p < r < q < s) or (r < p < s < q)
-
-
 def _canonical_order(order: list[int]) -> tuple[int, ...]:
     i = order.index(0)
     rotated = order[i:] + order[:i]
@@ -89,7 +87,9 @@ def verify_embedding(g: Graph, order: list[int]) -> OuterEmbedding | Rejection:
     """Check a proposed outer walk against the graph and canonicalize it.
 
     Accepts iff order visits every vertex once, consecutive pairs are all
-    edges, and the leftover edges are pairwise non-crossing chords.
+    edges, and the leftover edges are pairwise non-crossing chords. The
+    crossing check is one parenthesis-matching pass over the chords sorted
+    by position, so the whole check takes O(n + m log m) time.
     """
     n = g.n
     if len(order) != n or set(order) != set(range(n)):
@@ -103,14 +103,17 @@ def verify_embedding(g: Graph, order: list[int]) -> OuterEmbedding | Rejection:
     chords = g.edges - cycle
     pos = {v: i for i, v in enumerate(order)}
     placed = sorted(
-        (min(pos[u], pos[v]), max(pos[u], pos[v])) for u, v in chords
+        (min(pos[u], pos[v]), -max(pos[u], pos[v])) for u, v in chords
     )
-    for i, a in enumerate(placed):
-        for b in placed[i + 1:]:
-            if b[0] >= a[1]:
-                break  # placed is sorted; no later chord can open inside a
-            if _chords_cross_in_positions(a, b):
-                return Rejection("crossing-chords")
+    # placed runs by left end, outer chord first on a shared left end; the
+    # stack holds the right ends of the open chords, innermost on top
+    stack: list[int] = []
+    for p, neg_q in placed:
+        while stack and stack[-1] <= p:
+            stack.pop()
+        if stack and -neg_q > stack[-1]:
+            return Rejection("crossing-chords")
+        stack.append(-neg_q)
     return OuterEmbedding(_canonical_order(order), frozenset(chords))
 
 
@@ -122,42 +125,56 @@ def recognize_outerplanar_2connected(g: Graph) -> OuterEmbedding | Rejection:
     between their neighbors to rebuild the outer walk. Verify: re-check
     every invariant on the rebuilt walk. Rejection reasons name the first
     failed check.
+
+    Runs in O((n + m) log n) time. Degrees never rise during the
+    reduction, so a min-heap of the vertices whose degree has dropped to 2
+    yields the lowest-id degree-2 vertex at every step (stale entries are
+    skipped when popped), and the replay inserts into a cyclic linked list.
+    A header with m < n - 1 is rejected as disconnected before any
+    adjacency is built.
     """
     if g.n < 3:
         return Rejection("too-small")
-    if not is_connected(g):
+    if g.m < g.n - 1 or not is_connected(g):
         return Rejection("disconnected")
     if g.m > 2 * g.n - 3:
         return Rejection("edge-bound")
 
-    adj: dict[int, set[int]] = {v: set(g.neighbors(v)) for v in range(g.n)}
-    alive = set(range(g.n))
+    adj: list[set[int]] = [set(g.neighbors(v)) for v in range(g.n)]
+    ready = [v for v in range(g.n) if len(adj[v]) == 2]
+    alive = g.n
     steps: list[tuple[int, int, int]] = []
-    while len(alive) > 3:
-        v = min((w for w in alive if len(adj[w]) == 2), default=None)
-        if v is None:
+    while alive > 3:
+        while ready and len(adj[ready[0]]) != 2:
+            heapq.heappop(ready)  # deleted, or its degree fell below 2
+        if not ready:
             return Rejection("no-degree-2-vertex")
+        v = heapq.heappop(ready)
         x, y = sorted(adj[v])
-        for w in (x, y):
+        adj[v] = set()
+        alive -= 1
+        for w, other in ((x, y), (y, x)):
+            before = len(adj[w])
             adj[w].discard(v)
-        alive.discard(v)
-        adj[x].add(y)
-        adj[y].add(x)
+            adj[w].add(other)
+            if len(adj[w]) == 2 < before:
+                heapq.heappush(ready, w)
         steps.append((v, x, y))
 
-    order = sorted(alive)
+    # the walk is a cyclic linked list (nxt[v] follows v), started on the
+    # three survivors: the only vertices whose neighbor sets are not emptied
+    a, b, c = (v for v in range(g.n) if adj[v])
+    nxt = [0] * g.n
+    nxt[a], nxt[b], nxt[c] = b, c, a
     for v, x, y in reversed(steps):
-        k = len(order)
-        pos = None
-        for i in range(k):
-            if {order[i], order[(i + 1) % k]} == {x, y}:
-                pos = i + 1
-                break
-        if pos is None:
-            # neighbors not adjacent on the rebuilt walk: cannot happen for
-            # genuine inputs, so place v anywhere and let verification fail
-            pos = order.index(x) + 1
-        order.insert(pos, v)
+        # v goes between x and y. They are adjacent on the walk for genuine
+        # inputs; otherwise v goes after x and verification fails
+        if nxt[y] == x:
+            x = y
+        nxt[x], nxt[v] = v, nxt[x]
+    order = [a]
+    for _ in range(g.n - 1):
+        order.append(nxt[order[-1]])
     return verify_embedding(g, order)
 
 
@@ -168,14 +185,14 @@ def bounded_faces(emb: OuterEmbedding) -> list[tuple[int, ...]]:
     makes the split well-defined. Regions are visited depth-first from an
     explicit stack, so nesting depth is not bounded by the call stack.
     Faces are emitted in that visiting order, as position-ascending walks
-    mapped back to vertex ids.
+    mapped back to vertex ids. Each step of a walk finds its chord by
+    bisection, so the whole pass takes O((n + m) log n) time.
     """
     n = len(emb.order)
     pos = emb.positions()
-    # chords indexed by lower position endpoint
+    # chords indexed by lower position endpoint, upper endpoints ascending
     by_low: dict[int, list[int]] = {}
-    for u, v in emb.chords:
-        p, q = sorted((pos[u], pos[v]))
+    for p, q in sorted(sorted((pos[u], pos[v])) for u, v in emb.chords):
         by_low.setdefault(p, []).append(q)
 
     faces: list[list[int]] = []
@@ -187,10 +204,14 @@ def bounded_faces(emb: OuterEmbedding) -> list[tuple[int, ...]]:
         walk = [lo]
         p = lo
         while p < hi:
-            jumps = [q for q in by_low.get(p, ()) if p < q <= hi and (p, q) != (lo, hi)]
-            nxt = max(jumps, default=p + 1)
-            walk.append(nxt)
-            p = nxt
+            # the longest chord from p that stays in the region and is not
+            # the closing edge itself, else the next polygon edge
+            jumps = by_low.get(p, ())
+            i = bisect_right(jumps, hi) - 1
+            if i >= 0 and p == lo and jumps[i] == hi:
+                i -= 1
+            p = jumps[i] if i >= 0 else p + 1
+            walk.append(p)
         faces.append(walk)
         # pushed in reverse so the leftmost sub-region is walked next
         regions.extend((a, b) for a, b in reversed(list(zip(walk, walk[1:]))) if b - a >= 2)

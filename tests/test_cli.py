@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import resource
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import outercolor
 from outercolor.cli import main
 
 
@@ -262,7 +267,35 @@ def test_color_verify_odd_cycle_with_chord_past_recursion_limit(capsys, monkeypa
 
 
 def test_demo_deeply_nested_faces(capsys):
-    # the 1200-fan nests its faces about 1200 deep
-    code, out, _ = run(["demo-axenovich", "--n", "1200"], capsys)
+    # the 5000-fan nests its faces about 5000 deep, and every face walk
+    # step sees a fan vertex with thousands of chords
+    code, out, _ = run(["demo-axenovich", "--n", "5000"], capsys)
     assert code == 0
-    assert json.loads(out)["count"] == 1196
+    assert json.loads(out)["count"] == 4996
+
+
+def test_gen_then_recognize_at_100k_vertices(capsys, monkeypatch):
+    code, graph_text, _ = run(["gen", "--family", "random", "--n", "100000", "--seed", "3"], capsys)
+    assert code == 0
+    code, out, _ = run(["recognize"], capsys, monkeypatch, stdin_text=graph_text)
+    assert code == 0
+    verdict = json.loads(out)
+    assert verdict["verdict"] == "outerplanar-2connected"
+    assert len(verdict["order"]) == 100000
+
+
+def test_recognize_huge_header_rejects_before_allocating():
+    # 20M declared vertices and one edge: fewer than n - 1 edges, so the
+    # input is disconnected. The child runs under a 1 GB address-space cap,
+    # under which building the adjacency would raise MemoryError.
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(outercolor.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "outercolor.cli", "recognize"],
+        input="20000000 1\n0 1\n", capture_output=True, text=True, timeout=60,
+        preexec_fn=cap, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout) == {"verdict": "reject", "reason": "disconnected"}

@@ -163,6 +163,22 @@ def test_random_family_on_smallest_cycle_has_one_chord():
         assert gen_random_outerplanar_subcubic(5, seed).m == 6
 
 
+def test_random_family_has_dense_and_sparse_modes():
+    # the seeded coin picks a mode per seed: dense graphs keep few
+    # positions chord-free, sparse ones most
+    counts = [gen_random_outerplanar_subcubic(200, seed).m - 200 for seed in range(40)]
+    assert max(counts) > 200 // 3 and min(counts) < 200 // 4
+
+
+def test_random_family_scales_linearly():
+    # the generator is O(n) in time and memory; n = 16000 enumerated all
+    # O(n^2) chord pairs before and ran out of memory
+    n = 16000
+    g = gen_random_outerplanar_subcubic(n, 5)
+    assert g.n == n and g.max_degree == 3
+    assert all(g.has_edge(i, (i + 1) % n) for i in range(n))
+
+
 def test_edge_list_roundtrip():
     g = gen_random_outerplanar_subcubic(8, 7)
     text = write_edge_list(g)

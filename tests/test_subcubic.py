@@ -109,12 +109,16 @@ def test_trace_cases_are_known_tags():
 
 
 def test_random_corpus_validates_at_most_4():
+    tags = set()
     for n in range(4, 15):
         for seed in range(10):
             g = gen_random_outerplanar_subcubic(n, seed)
-            col = color_subcubic_le4_traced(g)[0]
+            col, steps = color_subcubic_le4_traced(g)
             assert col.t <= 4
             assert is_interval_coloring(g, col)
+            tags |= {s.case for s in steps}
+    # the corpus reaches every case the peel can take
+    assert tags == {"Case11", "Case12", "Case12OddCycle", "Case2", "BaseSmall", "BaseEvenCycle"}
 
 
 def test_even_hamiltonian_exact_assignment():
@@ -290,9 +294,13 @@ def test_peel_picks_what_find_reducible_config_picks():
 )
 def test_wrong_splice_color_fails_at_its_depth(monkeypatch, rule, case):
     # the up loop splices the deepest level first, so the first faulty
-    # splice of a rule is the deepest step of its case
-    g = gen_random_outerplanar_subcubic(41, 0)
-    _, steps = color_subcubic_le4_traced(g)
+    # splice of a rule is the deepest step of its case; the graph is the
+    # first n = 41 corpus graph whose peel applies all three rules
+    for seed in range(50):
+        g = gen_random_outerplanar_subcubic(41, seed)
+        _, steps = color_subcubic_le4_traced(g)
+        if {"Case11", "Case12", "Case2"} <= {s.case for s in steps}:
+            break
     depth = max(s.depth for s in steps if s.case == case)
     original = getattr(subcubic, rule)
 
