@@ -136,8 +136,11 @@ def _cmd_color(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     if args.method == "construct":
         try:
             # parity-optimal construction at max degree 3; the plain
-            # reduction covers even cycles (2 colors, no chords to place)
-            if g.max_degree == 3 and g.n % 2 == 0:
+            # reduction covers even cycles (2 colors, no chords to place).
+            # A graph with m < n - 1 is disconnected: leave it to the
+            # recognizer, which rejects it without building the adjacency
+            # that max_degree needs
+            if g.m >= g.n - 1 and g.max_degree == 3 and g.n % 2 == 0:
                 _, col = color_optimal_subcubic(g)
                 steps: tuple = ()
             else:

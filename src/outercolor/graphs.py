@@ -97,8 +97,13 @@ def make_graph(n: int, edges: list[tuple[int, int]]) -> Graph:
 
 
 def is_connected(g: Graph) -> bool:
+    """True iff g is connected. A graph with fewer than n - 1 edges is
+    answered False before its adjacency is built, so a huge header with
+    few edges costs nothing."""
     if g.n == 0:
         return True
+    if g.m < g.n - 1:
+        return False
     seen = {0}
     stack = [0]
     while stack:

@@ -39,8 +39,11 @@ class OuterEmbedding:
 class Rejection:
     """Why recognition declined the graph.
 
-    reason is one of: "too-small", "disconnected", "edge-bound",
-    "no-degree-2-vertex", "order-not-hamiltonian", "crossing-chords".
+    `recognize_outerplanar_2connected` gives one of "too-small",
+    "disconnected", "edge-bound", "no-degree-2-vertex" and
+    "order-not-hamiltonian". `verify_embedding` gives the last of these or
+    "crossing-chords"; the recognizer never does, because its replay only
+    splits edges of the walk, which leaves the chords nested.
     """
 
     reason: str
@@ -131,11 +134,11 @@ def recognize_outerplanar_2connected(g: Graph) -> OuterEmbedding | Rejection:
     yields the lowest-id degree-2 vertex at every step (stale entries are
     skipped when popped), and the replay inserts into a cyclic linked list.
     A header with m < n - 1 is rejected as disconnected before any
-    adjacency is built.
+    adjacency is built (`is_connected` answers it from the counts).
     """
     if g.n < 3:
         return Rejection("too-small")
-    if g.m < g.n - 1 or not is_connected(g):
+    if not is_connected(g):
         return Rejection("disconnected")
     if g.m > 2 * g.n - 3:
         return Rejection("edge-bound")

@@ -1,10 +1,12 @@
 """Exhaustive search for interval colorings, exact width, certificates.
 
 The backtracking solver is the package's ground truth: every construction
-elsewhere is cross-checked against it on small instances. Non-colorability
-is only ever certified by full exhaustion up to a sound upper bound on t,
-by the odd-cycle chromatic index fact, or by the replayable parity
-certificate for the triangle-with-even-paths family.
+elsewhere is cross-checked against it on small instances. `width` only
+certifies non-colorability by full exhaustion up to a sound upper bound on
+t (a t may be settled by the forced-color prune in place of a search) or
+by the odd-cycle chromatic index fact. The parity certificate for the
+triangle-with-even-paths family is built and replayed on its own, by
+`parity_obstruction` and `replay_parity_certificate`.
 """
 
 from __future__ import annotations
@@ -197,10 +199,29 @@ def find_interval_coloring(
     vertex degree); color-reversal symmetry breaking is disabled in that
     case because reversal does not preserve the pinned palettes.
     Raises BudgetExceeded when a deadline (time.monotonic seconds) passes.
+
+    The search is a loop over depth, not a recursion, so its depth is
+    bounded by memory only. Colors are bits of an int. Each vertex keeps
+    its palette and the mask of colors it can still take: the window
+    [max(1, hi - d + 1), min(t, lo + d - 1)] around its palette [lo, hi]
+    (degree d), cut to any pinned palette, minus the palette. The
+    candidates for edge uv are the common bits of u's and v's masks,
+    lowest first. Two prunes cut a branch: a later edge at u or v with no
+    common candidate left (masks only shrink as the search deepens), and
+    fewer edges left than colors not yet used. Neither cuts a branch that
+    holds a coloring, so the first coloring found is the one plain
+    backtracking over the same orders finds.
+
+    Forced-color prune: if every degree is at least delta and
+    t <= 2 * delta - 1, each palette [a, a + d - 1] has a <= t - d + 1 <=
+    delta <= a + d - 1, so holds color delta. The color-delta edges then
+    form a perfect matching, which odd n rules out; the search is skipped.
     """
     _require_connected(g)
     if t < g.max_degree or t > g.m:
         return None
+    everything = (2 << t) - 2  # bits 1..t
+    pin = [everything] * g.n
     if require_palettes:
         for v, pal in require_palettes.items():
             if len(pal) != g.degree(v):
@@ -210,93 +231,108 @@ def find_interval_coloring(
                 )
             if min(pal) < 1 or max(pal) > t:
                 return None
+            pin[v] = sum(1 << c for c in pal)
+    deg = [g.degree(v) for v in range(g.n)]
+    if g.n % 2 == 1 and t <= 2 * min(deg) - 1:
+        return None  # forced-color prune
 
     edges = _bfs_edge_order(g)
     m = len(edges)
-    degree = [g.degree(v) for v in range(g.n)]
-    colored_at = [0] * g.n            # how many incident edges colored
-    palette: list[set[int]] = [set() for _ in range(g.n)]
-    lo = [0] * g.n
-    hi = [0] * g.n
-    assignment: dict[Edge, int] = {}
-    color_use = [0] * (t + 1)
-    distinct_used = 0
-    required = require_palettes or {}
+    eu = [u for u, _ in edges]
+    ev = [v for _, v in edges]
+    # far[w]: the other ends of w's edges in search order; the uncolored
+    # edges at u after edge i are the ones past later_u[i] in far[u]
+    far: list[list[int]] = [[] for _ in range(g.n)]
+    later_u: list[int] = []
+    later_v: list[int] = []
+    for u, v in edges:
+        far[u].append(v)
+        far[v].append(u)
+        later_u.append(len(far[u]))
+        later_v.append(len(far[v]))
+
+    pal = [0] * g.n
+    free = pin[:]
+    cand = [0] * (m + 1)    # colors not yet tried at each depth
+    color = [0] * m
+    keep_u = [0] * m        # free masks of the endpoints before edge i
+    keep_v = [0] * m
+    use = [0] * (t + 1)
+    used = 0                # distinct colors on the colored edges
+    nodes = 0
 
     # color-reversal symmetry: c -> t + 1 - c maps valid colorings to
     # valid colorings, so the first edge only needs the lower half
-    first_cap = t if require_palettes else (t + 1) // 2
-
-    node_budget = 1024  # deadline poll interval
-    state = {"nodes": 0}
-
-    def vertex_ok(v: int) -> bool:
-        p_lo, p_hi = lo[v], hi[v]
-        d = degree[v]
-        # an interval of size d must fit over [p_lo, p_hi] inside [1, t]
-        if p_hi - p_lo + 1 > d:
-            return False
-        if max(1, p_hi - d + 1) > min(p_lo, t - d + 1):
-            return False
-        if colored_at[v] == d and p_hi - p_lo + 1 != d:
-            return False
-        return True
-
-    def place(idx: int) -> bool:
-        nonlocal distinct_used
-        if deadline is not None:
-            state["nodes"] += 1
-            if state["nodes"] % node_budget == 0 and time.monotonic() > deadline:
-                raise BudgetExceeded
-        if idx == m:
-            return distinct_used == t
+    first = everything if require_palettes else (2 << (t + 1) // 2) - 2
+    cand[0] = free[eu[0]] & free[ev[0]] & first
+    i = 0
+    while True:
+        c = cand[i]
+        if not c:
+            if i == 0:
+                return None
+            i -= 1
+            u, v, k = eu[i], ev[i], color[i]
+            pal[u] ^= 1 << k
+            pal[v] ^= 1 << k
+            free[u] = keep_u[i]
+            free[v] = keep_v[i]
+            use[k] -= 1
+            if not use[k]:
+                used -= 1
+            continue
+        b = c & -c
+        cand[i] = c ^ b
+        u, v = eu[i], ev[i]
+        # the new masks of u and v: window [hi - d + 1, lo + d - 1], with
+        # hi - d + 1 = p.bit_length() - d, cut to [1, t] by pin. The window
+        # test alone keeps palettes feasible: with hi - lo + 1 <= d, colors
+        # in [1, t] and d <= t, an interval of d colors fits over [lo, hi]
+        # inside [1, t], and a full palette of d distinct colors spans
+        # exactly d, so no separate fit or full-palette test is needed
+        p = pal[u] | b
+        d = deg[u]
+        lo = (p & -p).bit_length() - 1
+        fu = ((2 << (lo + d - 1)) - (1 << max(p.bit_length() - d, 0))) & pin[u] & ~p
+        p = pal[v] | b
+        d = deg[v]
+        lo = (p & -p).bit_length() - 1
+        fv = ((2 << (lo + d - 1)) - (1 << max(p.bit_length() - d, 0))) & pin[v] & ~p
+        # forward check: every uncolored edge at u or v keeps a candidate
+        starved = False
+        for x in far[u][later_u[i]:]:
+            if not fu & free[x]:
+                starved = True
+                break
+        else:
+            for x in far[v][later_v[i]:]:
+                if not fv & free[x]:
+                    starved = True
+                    break
+        if starved:
+            continue
+        nodes += 1
+        if not nodes & 1023 and deadline is not None and time.monotonic() > deadline:
+            raise BudgetExceeded
+        keep_u[i] = free[u]
+        keep_v[i] = free[v]
+        pal[u] |= b
+        pal[v] |= b
+        free[u] = fu
+        free[v] = fv
+        k = b.bit_length() - 1
+        color[i] = k
+        use[k] += 1
+        if use[k] == 1:
+            used += 1
+        i += 1
         # remaining edges must cover every color not yet used
-        if t - distinct_used > m - idx:
-            return False
-        u, v = edges[idx]
-        cap = first_cap if idx == 0 else t
-        for c in range(1, cap + 1):
-            if c in palette[u] or c in palette[v]:
-                continue
-            ru = required.get(u)
-            if ru is not None and c not in ru:
-                continue
-            rv = required.get(v)
-            if rv is not None and c not in rv:
-                continue
-            saved = []
-            ok = True
-            for w in (u, v):
-                saved.append((lo[w], hi[w]))
-                palette[w].add(c)
-                colored_at[w] += 1
-                if colored_at[w] == 1:
-                    lo[w] = hi[w] = c
-                else:
-                    lo[w] = min(lo[w], c)
-                    hi[w] = max(hi[w], c)
-                if not vertex_ok(w):
-                    ok = False
-            color_use[c] += 1
-            if color_use[c] == 1:
-                distinct_used += 1
-            if ok:
-                assignment[edges[idx]] = c
-                if place(idx + 1):
-                    return True
-                del assignment[edges[idx]]
-            color_use[c] -= 1
-            if color_use[c] == 0:
-                distinct_used -= 1
-            for w, (l0, h0) in zip((u, v), saved):
-                palette[w].discard(c)
-                colored_at[w] -= 1
-                lo[w], hi[w] = l0, h0
-        return False
-
-    if place(0):
-        return EdgeColoring(t, dict(assignment))
-    return None
+        if t - used > m - i:
+            cand[i] = 0
+        elif i == m:
+            return EdgeColoring(t, dict(zip(edges, color)))
+        else:
+            cand[i] = free[eu[i]] & free[ev[i]]
 
 
 def width(g: Graph, budget_ms: int | None = None) -> ColoringOutcome:

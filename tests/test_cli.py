@@ -284,18 +284,54 @@ def test_gen_then_recognize_at_100k_vertices(capsys, monkeypatch):
     assert len(verdict["order"]) == 100000
 
 
-def test_recognize_huge_header_rejects_before_allocating():
-    # 20M declared vertices and one edge: fewer than n - 1 edges, so the
-    # input is disconnected. The child runs under a 1 GB address-space cap,
-    # under which building the adjacency would raise MemoryError.
+def _run_under_1gb_cap(argv, stdin_text):
+    # the child runs under a 1 GB address-space cap, under which building
+    # a 20M-vertex adjacency would raise MemoryError
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     src = str(Path(outercolor.__file__).resolve().parent.parent)
-    proc = subprocess.run(
-        [sys.executable, "-m", "outercolor.cli", "recognize"],
-        input="20000000 1\n0 1\n", capture_output=True, text=True, timeout=60,
+    return subprocess.run(
+        [sys.executable, "-m", "outercolor.cli", *argv],
+        input=stdin_text, capture_output=True, text=True, timeout=60,
         preexec_fn=cap, env=dict(os.environ, PYTHONPATH=src),
     )
+
+
+# 20M declared vertices and one edge: fewer than n - 1 edges, so the input
+# is disconnected
+HUGE_HEADER = "20000000 1\n0 1\n"
+
+
+def test_recognize_huge_header_rejects_before_allocating():
+    proc = _run_under_1gb_cap(["recognize"], HUGE_HEADER)
     assert proc.returncode == 1, proc.stderr
     assert json.loads(proc.stdout) == {"verdict": "reject", "reason": "disconnected"}
+
+
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (["color"], "not a 2-connected outerplanar graph: disconnected"),
+        (["width"], "solver needs a connected graph"),
+        (["color", "--method", "exact", "--t", "2"], "solver needs a connected graph"),
+    ],
+)
+def test_huge_header_error_verdict_before_allocating(argv, detail):
+    proc = _run_under_1gb_cap(argv, HUGE_HEADER)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout) == {"verdict": "error", "detail": detail}
+
+
+def test_exact_first_coloring_past_recursion_limit(capsys, monkeypatch):
+    # the search colors all 1,732 edges in one branch; a recursive search
+    # would need that many frames
+    _, graph_text, _ = run(["gen", "--family", "random", "--n", "1200", "--seed", "1"], capsys)
+    code, col_text, _ = run(
+        ["color", "--method", "exact", "--t", "3"], capsys, monkeypatch, stdin_text=graph_text
+    )
+    assert code == 0
+    code, out, _ = run(["verify"], capsys, monkeypatch, stdin_text=col_text)
+    assert code == 0
+    verdict = json.loads(out)
+    assert verdict["verdict"] == "ok" and verdict["t"] == 3

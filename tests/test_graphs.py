@@ -55,6 +55,12 @@ def test_is_connected():
     assert not is_connected(make_graph(2, []))
 
 
+def test_is_connected_answers_sparse_headers_without_adjacency():
+    g = read_edge_list("20000000 1\n0 1\n")
+    assert not is_connected(g)
+    assert "adjacency" not in vars(g)  # the cached property was never built
+
+
 def test_is_cycle_graph():
     assert is_cycle_graph(gen_cycle(5))
     assert not is_cycle_graph(make_graph(3, [(0, 1), (1, 2)]))

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 
 import pytest
@@ -13,6 +14,7 @@ from outercolor.graphs import (
     make_graph,
     relabel,
 )
+from outercolor import solver
 from outercolor.solver import (
     Colored,
     ExhaustedAllT,
@@ -269,3 +271,50 @@ def test_width_matches_brute_force_verdict_on_c6():
     out = width(gen_cycle(6))
     assert isinstance(out, Colored) and out.t == 2
     assert brute_force_exists(gen_cycle(6), 2)
+
+
+def test_width_past_the_recursion_limit():
+    out = width(gen_cycle(1500))
+    assert isinstance(out, Colored) and out.t == 2
+    assert is_interval_coloring(gen_cycle(1500), out.coloring)
+    out = width(gen_cycle(1501))
+    assert out == NotColorable(OddCycleCertificate(1501))
+
+
+def _count_searches(monkeypatch):
+    # the search proper starts by ordering the edges; count those calls
+    calls = []
+    order = solver._bfs_edge_order
+
+    def counted(g):
+        calls.append(g.n)
+        return order(g)
+
+    monkeypatch.setattr(solver, "_bfs_edge_order", counted)
+    return calls
+
+
+def test_forced_color_prune_skips_odd_order_search(monkeypatch):
+    # min degree 2 and t = 3 <= 2 * 2 - 1: every palette holds color 2,
+    # whose edges would be a perfect matching on 10,001 vertices
+    g = gen_random_outerplanar_subcubic(10001, 1)
+    assert g.max_degree == 3
+    calls = _count_searches(monkeypatch)
+    # a search would raise BudgetExceeded here
+    assert find_interval_coloring(g, 3, deadline=time.monotonic() + 1.0) is None
+    # pinned palettes are covered too
+    assert find_interval_coloring(gen_cycle(5), 3, require_palettes={0: frozenset({1, 2})}) is None
+    assert calls == []
+
+
+def test_forced_color_prune_needs_odd_order_and_small_t(monkeypatch):
+    calls = _count_searches(monkeypatch)
+    # even n with t <= 2 * min degree - 1
+    assert find_interval_coloring(gen_cycle(4), 3) is not None
+    assert find_interval_coloring(gen_random_outerplanar_subcubic(12, 0), 3) is not None
+    assert len(calls) == 2
+    # odd n with t = 2 * min degree
+    g = gen_random_outerplanar_subcubic(9, 3)
+    assert find_interval_coloring(g, 4) is not None
+    assert find_interval_coloring(gen_cycle(5), 4) is None  # the search runs, and fails
+    assert len(calls) == 4
