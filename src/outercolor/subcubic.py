@@ -54,16 +54,15 @@ class ReductionStep:
     case is one of Case11, Case12, Case12OddCycle, Case2, BaseSmall,
     BaseEvenCycle. removed lists the peeled vertices (u, v) or (u, v, w);
     attachments lists (x, y) for pairs or the external neighbors (a, b)
-    for triangles; super_vertex is the contracted vertex id for Case2.
-    Vertex ids are positions among the vertices that survive at that
-    level, in ascending id order.
+    for triangles, where u is contracted to stand for the triangle.
+    Vertex ids are the input graph's at every level. Base cases leave
+    both tuples empty.
     """
 
     case: str
     depth: int
     removed: tuple[int, ...] = ()
     attachments: tuple[int, ...] = ()
-    super_vertex: int | None = None
 
 
 def _assert_valid(g: Graph, col: EdgeColoring, where: str) -> EdgeColoring:
@@ -75,37 +74,6 @@ def _assert_valid(g: Graph, col: EdgeColoring, where: str) -> EdgeColoring:
 
 def _coloring_of(assignment: dict[Edge, int]) -> EdgeColoring:
     return EdgeColoring(max(assignment.values()), assignment)
-
-
-class _LiveRanks:
-    """Fenwick tree over vertex ids that are still in the graph.
-
-    rank(v) is the number of live ids below v, which is v's id in the
-    graph of the current level with its ids compressed to 0..live-1.
-    """
-
-    def __init__(self, n: int) -> None:
-        self.live = n
-        self.tree = [0] * (n + 1)
-        for i in range(1, n + 1):
-            self.tree[i] += 1
-            j = i + (i & -i)
-            if j <= n:
-                self.tree[j] += self.tree[i]
-
-    def rank(self, v: int) -> int:
-        total = 0
-        while v > 0:
-            total += self.tree[v]
-            v -= v & -v
-        return total
-
-    def drop(self, v: int) -> None:
-        self.live -= 1
-        v += 1
-        while v < len(self.tree):
-            self.tree[v] -= 1
-            v += v & -v
 
 
 class _Peel:
@@ -122,7 +90,7 @@ class _Peel:
     def __init__(self, g: Graph) -> None:
         self.adj = [set(g.neighbors(v)) for v in range(g.n)]
         self.m = g.m
-        self.ranks = _LiveRanks(g.n)
+        self.live = g.n  # vertices still in the graph
         self.colors: dict[Edge, int] = {}
         self.uses: Counter[int] = Counter()
         self.pairs = [e for e in g.edges if self._is_pair(*e)]
@@ -175,8 +143,7 @@ class _Peel:
             self._cut(*e)
         for e in added:
             self._link(*e)
-        for v in dead:
-            self.ranks.drop(v)
+        self.live -= len(dead)
         for z in {z for e in removed for z in e} - set(dead):
             nbrs = self.adj[z]
             if len(nbrs) == 2:
@@ -380,12 +347,11 @@ def _color_rec(g: Graph, steps: list[ReductionStep]) -> EdgeColoring:
     the peel by it.
     """
     peel = _Peel(g)
-    rank = peel.ranks.rank
     # per level: the splice rule, its vertices, the edges cut and added
     undo: list[tuple[Callable[..., None], tuple[int, ...], list[Edge], list[Edge]]] = []
     while True:
         depth = len(steps)
-        live = peel.ranks.live
+        live = peel.live
         # a 2-connected graph with as many edges as vertices is a cycle
         if peel.m == live:
             if live % 2 == 1:
@@ -400,17 +366,17 @@ def _color_rec(g: Graph, steps: list[ReductionStep]) -> EdgeColoring:
         cfg = peel.find_config()
         if isinstance(cfg, PairConfig):
             u, v, x, y = cfg.u, cfg.v, cfg.x, cfg.y
-            ids = {"removed": (rank(u), rank(v)), "attachments": (rank(x), rank(y))}
+            ids = (u, v), (x, y)
             removed = [norm_edge(u, x), norm_edge(u, v), norm_edge(v, y)]
             if y in peel.adj[x]:
                 if peel.m - 3 == live - 2 and live % 2 == 1:
-                    steps.append(ReductionStep("Case12OddCycle", depth, **ids))
+                    steps.append(ReductionStep("Case12OddCycle", depth, *ids))
                     _color_odd_cycle_pair(peel, u, v, x, y)
                     break
-                steps.append(ReductionStep("Case12", depth, **ids))
+                steps.append(ReductionStep("Case12", depth, *ids))
                 splice, added = _splice_pair_kept_edge, []
             else:
-                steps.append(ReductionStep("Case11", depth, **ids))
+                steps.append(ReductionStep("Case11", depth, *ids))
                 splice, added = _splice_pair_new_edge, [norm_edge(x, y)]
             verts, dead = (u, v, x, y), (u, v)
         else:
@@ -420,12 +386,7 @@ def _color_rec(g: Graph, steps: list[ReductionStep]) -> EdgeColoring:
             if a == b:
                 # would make `a` a cut vertex, contradicting 2-connectedness
                 raise AssertionError(f"triangle {u},{v},{w} shares its external neighbor {a}")
-            steps.append(
-                ReductionStep(
-                    "Case2", depth, removed=(rank(u), rank(v), rank(w)),
-                    attachments=(rank(a), rank(b)), super_vertex=rank(u),
-                )
-            )
+            steps.append(ReductionStep("Case2", depth, (u, v, w), (a, b)))
             splice, verts, dead = _splice_triangle, (u, v, w, a, b), (v, w)
             removed = [norm_edge(u, v), norm_edge(u, w), norm_edge(v, w), norm_edge(w, b)]
             added = [norm_edge(u, b)]

@@ -87,6 +87,25 @@ def test_color_trace_goes_to_stderr(capsys, monkeypatch):
     assert "depth=0" in err
 
 
+def test_color_trace_names_input_vertex_ids(capsys, monkeypatch):
+    # C9 with chords (0, 2) and (4, 6). Depth 0 cuts 7 and 8, depth 1
+    # contracts the triangle 0, 1, 2 into 0, so at depth 2 the survivors
+    # are 0, 3, 4, 5, 6 and input ids 3, 4, 6 differ from their ranks
+    c9 = "9 11\n" + "".join(
+        f"{u} {v}\n" for u, v in [(i, (i + 1) % 9) for i in range(9)] + [(0, 2), (4, 6)]
+    )
+    code, plain, _ = run(["color"], capsys, monkeypatch, stdin_text=c9)
+    assert code == 0
+    code, out, err = run(["color", "--trace"], capsys, monkeypatch, stdin_text=c9)
+    assert code == 0
+    assert out == plain
+    assert err.splitlines() == [
+        "Case11 depth=0 removed=(7, 8) attachments=(6, 0)",
+        "Case2 depth=1 removed=(0, 1, 2) attachments=(6, 3)",
+        "Case12OddCycle depth=2 removed=(0, 3) attachments=(6, 4)",
+    ]
+
+
 def test_color_rejects_odd_cycle(capsys, monkeypatch):
     _, graph_text, _ = run(["gen", "--family", "cycle", "--n", "5"], capsys)
     code, out, _ = run(["color"], capsys, monkeypatch, stdin_text=graph_text)
@@ -321,6 +340,14 @@ def test_huge_header_error_verdict_before_allocating(argv, detail):
     proc = _run_under_1gb_cap(argv, HUGE_HEADER)
     assert proc.returncode == 1, proc.stderr
     assert json.loads(proc.stdout) == {"verdict": "error", "detail": detail}
+
+
+def test_verify_huge_vertex_id_without_allocating():
+    # one edge to vertex 20,000,000: the graph of the coloring declares
+    # 20M vertices, so a per-vertex scan would raise MemoryError
+    proc = _run_under_1gb_cap(["verify"], '{"t": 1, "edges": [[0, 20000000, 1]]}')
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"verdict": "ok", "t": 1, "edges": 1}
 
 
 def test_exact_first_coloring_past_recursion_limit(capsys, monkeypatch):

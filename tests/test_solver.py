@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from outercolor.coloring import is_interval_coloring
+from outercolor.coloring import check_interval_coloring
 from outercolor.graphs import (
     GraphError,
     gen_cycle,
@@ -38,7 +38,7 @@ def brute_force_exists(g, t):
     for colors in product(range(1, t + 1), repeat=len(edges)):
         from outercolor.coloring import EdgeColoring
 
-        if is_interval_coloring(g, EdgeColoring(t, dict(zip(edges, colors)))):
+        if check_interval_coloring(g, EdgeColoring(t, dict(zip(edges, colors)))) is None:
             return True
     return False
 
@@ -87,7 +87,7 @@ def test_c4_at_three_colors_exists():
     # the cycle, so the solver must too
     assert brute_force_exists(gen_cycle(4), 3)
     col = find_interval_coloring(gen_cycle(4), 3)
-    assert col is not None and is_interval_coloring(gen_cycle(4), col)
+    assert col is not None and check_interval_coloring(gen_cycle(4), col) is None
 
 
 def test_even_cycle_feasible_range():
@@ -116,19 +116,19 @@ def test_solver_agrees_with_brute_force_on_small_graphs():
             want = brute_force_exists(g, t)
             assert (got is not None) == want, (g, t)
             if got is not None:
-                assert is_interval_coloring(g, got)
+                assert check_interval_coloring(g, got) is None
 
 
 def test_fan3_three_colorable():
     g, _ = gen_triangular_fan(3)
     col = find_interval_coloring(g, 3)
-    assert col is not None and is_interval_coloring(g, col)
+    assert col is not None and check_interval_coloring(g, col) is None
 
 
 def test_width_c4():
     out = width(gen_cycle(4))
     assert isinstance(out, Colored) and out.t == 2
-    assert is_interval_coloring(gen_cycle(4), out.coloring)
+    assert check_interval_coloring(gen_cycle(4), out.coloring) is None
 
 
 def test_width_odd_cycle_certificate():
@@ -159,7 +159,7 @@ def test_width_triangle_free_reason():
     if isinstance(out, NotColorable):
         assert out.certificate.reason == "triangle-free-bound"
     else:
-        assert is_interval_coloring(g, out.coloring)
+        assert check_interval_coloring(g, out.coloring) is None
 
 
 def test_width_respects_budget():
@@ -210,7 +210,7 @@ def test_require_palettes_not_defeated_by_symmetry_breaking():
     if col is not None:
         assert set(col.palette(g, 0)) == {2, 3}
     # the unconstrained verdict at t=3 is None, so the constrained one is too
-    assert col is None or is_interval_coloring(g, col)
+    assert col is None or check_interval_coloring(g, col) is None
 
 
 def test_parity_certificate_replays():
@@ -276,7 +276,7 @@ def test_width_matches_brute_force_verdict_on_c6():
 def test_width_past_the_recursion_limit():
     out = width(gen_cycle(1500))
     assert isinstance(out, Colored) and out.t == 2
-    assert is_interval_coloring(gen_cycle(1500), out.coloring)
+    assert check_interval_coloring(gen_cycle(1500), out.coloring) is None
     out = width(gen_cycle(1501))
     assert out == NotColorable(OddCycleCertificate(1501))
 

@@ -1,7 +1,7 @@
 import pytest
 
 from outercolor import subcubic
-from outercolor.coloring import is_interval_coloring
+from outercolor.coloring import check_interval_coloring
 from outercolor.graphs import (
     gen_cycle,
     gen_random_outerplanar_subcubic,
@@ -36,14 +36,14 @@ def house():
 def test_even_cycle_two_colors():
     col = color_subcubic_le4_traced(gen_cycle(6))[0]
     assert col.t == 2
-    assert is_interval_coloring(gen_cycle(6), col)
+    assert check_interval_coloring(gen_cycle(6), col) is None
 
 
 def test_diamond_base_case():
     g = make_graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
     col = color_subcubic_le4_traced(g)[0]
     assert col.t <= 4
-    assert is_interval_coloring(g, col)
+    assert check_interval_coloring(g, col) is None
     # the exact solver agrees such a coloring exists at this t
     assert find_interval_coloring(g, col.t) is not None
 
@@ -52,7 +52,7 @@ def test_chorded_hexagon_construction():
     g = chorded_hexagon()
     col = color_subcubic_le4_traced(g)[0]
     assert col.t <= 4
-    assert is_interval_coloring(g, col)
+    assert check_interval_coloring(g, col) is None
 
 
 def test_chorded_hexagon_trace():
@@ -71,7 +71,7 @@ def test_chorded_hexagon_trace():
 def test_house_odd_cycle_splice():
     g = house()
     col, steps = color_subcubic_le4_traced(g)
-    assert is_interval_coloring(g, col)
+    assert check_interval_coloring(g, col) is None
     assert col.t == 4
     assert any(s.case == "Case12OddCycle" for s in steps)
 
@@ -85,14 +85,11 @@ def test_triangle_contraction_path():
          (0, 2), (4, 6)],
     )
     col, steps = color_subcubic_le4_traced(g)
-    assert is_interval_coloring(g, col)
+    assert check_interval_coloring(g, col) is None
     assert col.t <= 4
     assert steps[0].case == "Case2"
     assert steps[0].removed == (0, 1, 2)
     assert steps[0].attachments == (7, 3)
-    for s in steps:
-        if s.case.startswith("Case2"):
-            assert s.super_vertex == s.removed[0]
 
 
 def test_trace_cases_are_known_tags():
@@ -103,7 +100,7 @@ def test_trace_cases_are_known_tags():
         for seed in range(5):
             g = gen_random_outerplanar_subcubic(n, seed)
             col, steps = color_subcubic_le4_traced(g)
-            assert is_interval_coloring(g, col)
+            assert check_interval_coloring(g, col) is None
             assert {s.case for s in steps} <= allowed
             assert steps, "every run records at least the base case"
 
@@ -115,7 +112,7 @@ def test_random_corpus_validates_at_most_4():
             g = gen_random_outerplanar_subcubic(n, seed)
             col, steps = color_subcubic_le4_traced(g)
             assert col.t <= 4
-            assert is_interval_coloring(g, col)
+            assert check_interval_coloring(g, col) is None
             tags |= {s.case for s in steps}
     # the corpus reaches every case the peel can take
     assert tags == {"Case11", "Case12", "Case12OddCycle", "Case2", "BaseSmall", "BaseEvenCycle"}
@@ -129,7 +126,7 @@ def test_even_hamiltonian_exact_assignment():
     assert col.assignment == {
         (0, 1): 1, (1, 2): 2, (2, 3): 1, (3, 4): 2, (4, 5): 1, (0, 5): 2, (0, 3): 3,
     }
-    assert is_interval_coloring(g, col)
+    assert check_interval_coloring(g, col) is None
 
 
 def test_even_hamiltonian_more_chords():
@@ -141,7 +138,7 @@ def test_even_hamiltonian_more_chords():
     emb = recognize_outerplanar_2connected(g)
     col = color_even_hamiltonian(g, emb)
     assert col.t == 3
-    assert is_interval_coloring(g, col)
+    assert check_interval_coloring(g, col) is None
 
 
 def test_even_hamiltonian_smallest():
@@ -149,7 +146,7 @@ def test_even_hamiltonian_smallest():
     emb = recognize_outerplanar_2connected(g)
     col = color_even_hamiltonian(g, emb)
     assert col.t == 3
-    assert is_interval_coloring(g, col)
+    assert check_interval_coloring(g, col) is None
 
 
 def test_even_hamiltonian_preconditions():
@@ -166,14 +163,14 @@ def test_even_hamiltonian_preconditions():
 def test_optimal_even_is_three():
     w, col = color_optimal_subcubic(chorded_hexagon())
     assert w == 3 and col.t == 3
-    assert is_interval_coloring(chorded_hexagon(), col)
+    assert check_interval_coloring(chorded_hexagon(), col) is None
 
 
 def test_optimal_odd_is_four_and_solver_confirms():
     g = house()
     w, col = color_optimal_subcubic(g)
     assert w == 4 and col.t == 4
-    assert is_interval_coloring(g, col)
+    assert check_interval_coloring(g, col) is None
     # no interval 3-coloring exists at odd order
     assert find_interval_coloring(g, 3) is None
 
@@ -193,7 +190,7 @@ def test_optimal_matches_solver_width_small():
         for seed in range(4):
             g = gen_random_outerplanar_subcubic(n, seed)
             w, col = color_optimal_subcubic(g)
-            assert is_interval_coloring(g, col)
+            assert check_interval_coloring(g, col) is None
             out = width(g)
             assert isinstance(out, Colored)
             assert out.t == w
@@ -206,7 +203,7 @@ def test_optimal_parity_rule():
             w, col = color_optimal_subcubic(g)
             assert w == (3 if n % 2 == 0 else 4)
             assert col.t == w
-            assert is_interval_coloring(g, col)
+            assert check_interval_coloring(g, col) is None
 
 
 def test_precondition_errors():
@@ -228,7 +225,7 @@ def test_deep_recursion_long_cycle_one_chord():
     edges = [(i, (i + 1) % 20) for i in range(20)] + [(0, 9)]
     g = make_graph(20, edges)
     col, steps = color_subcubic_le4_traced(g)
-    assert is_interval_coloring(g, col)
+    assert check_interval_coloring(g, col) is None
     assert col.t <= 4
     assert len(steps) >= 5
     assert [s.depth for s in steps] == list(range(len(steps)))
@@ -242,19 +239,23 @@ def test_peel_scales_past_the_recursion_limit():
     g = make_graph(n, edges)
     col, steps = color_subcubic_le4_traced(g)
     assert col.t == 4
-    assert is_interval_coloring(g, col)
+    assert check_interval_coloring(g, col) is None
     assert [s.depth for s in steps] == list(range(len(steps)))
     assert {"Case11", "Case2"} <= {s.case for s in steps}
 
 
 def test_peel_picks_what_find_reducible_config_picks():
     # rebuild every level as its own graph, ids compressed, and check the
-    # recorded step against the reference configuration search
+    # recorded step, which is in input ids, against the reference
+    # configuration search mapped back to input ids
+    cases = set()
     for n in range(7, 40, 4):
         for seed in range(3):
             g = gen_random_outerplanar_subcubic(n, seed)
             _, steps = color_subcubic_le4_traced(g)
+            cases |= {s.case for s in steps}
             level = g
+            ids = list(range(g.n))  # compressed id at this level -> input id
             for step in steps:
                 if step.case.startswith("Base"):
                     assert step is steps[-1]
@@ -264,7 +265,9 @@ def test_peel_picks_what_find_reducible_config_picks():
                 if isinstance(cfg, PairConfig):
                     u, v, x, y = cfg.u, cfg.v, cfg.x, cfg.y
                     assert step.case.startswith("Case12" if level.has_edge(x, y) else "Case11")
-                    assert (step.removed, step.attachments) == ((u, v), (x, y))
+                    assert (step.removed, step.attachments) == (
+                        (ids[u], ids[v]), (ids[x], ids[y])
+                    )
                     edges -= {norm_edge(u, x), norm_edge(u, v), norm_edge(v, y)}
                     if step.case == "Case11":
                         edges.add(norm_edge(x, y))
@@ -273,8 +276,9 @@ def test_peel_picks_what_find_reducible_config_picks():
                     (a,) = set(level.neighbors(u)) - {v, w}
                     (b,) = set(level.neighbors(w)) - {u, v}
                     assert step.case == "Case2"
-                    assert (step.removed, step.attachments) == ((u, v, w), (a, b))
-                    assert step.super_vertex == u
+                    assert (step.removed, step.attachments) == (
+                        (ids[u], ids[v], ids[w]), (ids[a], ids[b])
+                    )
                     edges -= {norm_edge(u, v), norm_edge(u, w), norm_edge(v, w), norm_edge(w, b)}
                     edges.add(norm_edge(u, b))
                 if step.case == "Case12OddCycle":
@@ -283,6 +287,9 @@ def test_peel_picks_what_find_reducible_config_picks():
                 verts = sorted({z for e in edges for z in e})
                 index = {z: i for i, z in enumerate(verts)}
                 level = make_graph(len(verts), [(index[p], index[q]) for p, q in edges])
+                ids = [ids[z] for z in verts]
+    # every reducing case was checked
+    assert cases == {"Case11", "Case12", "Case12OddCycle", "Case2"}
 
 
 @pytest.mark.parametrize(
