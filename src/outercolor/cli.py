@@ -44,6 +44,7 @@ from .solver import (
     Inconclusive,
     NotColorable,
     OddCycleCertificate,
+    ParityCertificate,
     find_interval_coloring,
     width,
 )
@@ -78,6 +79,8 @@ def _certificate_json(cert) -> dict:
         return {"kind": "odd-cycle", "n": cert.n}
     if isinstance(cert, ExhaustedAllT):
         return {"kind": "exhausted-all-t", "t_max": cert.t_max, "reason": cert.reason}
+    if isinstance(cert, ParityCertificate):
+        return {"kind": "parity", "k": cert.k, "l": cert.l, "m": cert.m}
     raise AssertionError(f"unknown certificate {cert!r}")
 
 

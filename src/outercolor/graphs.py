@@ -276,12 +276,14 @@ def write_edge_list(g: Graph) -> str:
 def write_dot(g: Graph, coloring: dict[Edge, int] | None = None) -> str:
     """DOT export, vertices ascending then edges in (min, max) order.
 
-    With a coloring, each edge carries its color as the label and a
-    deterministic palette hex as the color attribute. The coloring must
+    Only vertices with an edge are listed, so the output is linear in the
+    edge count whatever n the header declares; isolated vertices do not
+    appear. With a coloring, each edge carries its color as the label and
+    a deterministic palette hex as the color attribute. The coloring must
     cover every edge.
     """
     lines = ["graph {"]
-    for v in range(g.n):
+    for v in sorted({v for e in g.edges for v in e}):
         lines.append(f"  {v};")
     for u, v in g.sorted_edges():
         if coloring is None:

@@ -1,12 +1,15 @@
 """Exhaustive search for interval colorings, exact width, certificates.
 
 The backtracking solver is the package's ground truth: every construction
-elsewhere is cross-checked against it on small instances. `width` only
-certifies non-colorability by full exhaustion up to a sound upper bound on
-t (a t may be settled by the forced-color prune in place of a search) or
-by the odd-cycle chromatic index fact. The parity certificate for the
-triangle-with-even-paths family is built and replayed on its own, by
-`parity_obstruction` and `replay_parity_certificate`.
+elsewhere is cross-checked against it on small instances. `width` certifies
+non-colorability in one of three ways. `precheck` settles odd cycles by the
+chromatic-index fact, and the triangle-with-even-paths family T_{k,l,m},
+under any labelling, by a parity certificate (`parity_obstruction`) that
+`replay_parity_certificate` re-checks before it is returned; both take
+linear time. Any other graph gets a full exhaustion up to a sound upper
+bound on t (a t may be settled by the forced-color prune in place of a
+search). `find_interval_coloring` itself runs no precheck: it is a pure
+search at one t.
 """
 
 from __future__ import annotations
@@ -132,16 +135,72 @@ def _require_connected(g: Graph) -> None:
 
 
 def precheck(g: Graph) -> NotColorable | None:
-    """Cheap non-colorability screen: odd cycles only.
+    """Linear-time non-colorability screen, run before any search.
 
-    An interval-colorable graph has chromatic index equal to its max
-    degree; odd cycles are the one such failure this package's graph
-    families can produce.
+    Raises GraphError unless g is nonempty and connected. Then:
+
+    - odd cycles: an interval-colorable graph has chromatic index equal to
+      its max degree, and an odd cycle needs 3 colors at max degree 2;
+    - T_{k,l,m} under any labelling (`triangle_paths_params`): returns the
+      parity certificate of `parity_obstruction`, after
+      `replay_parity_certificate` has re-checked it. A failed replay is a
+      bug in this module and raises AssertionError.
+
+    Returns None when neither applies, so the caller must search.
     """
     _require_connected(g)
     if g.n % 2 == 1 and g.m == g.n and all(g.degree(v) == 2 for v in range(g.n)):
         return NotColorable(OddCycleCertificate(g.n))
+    klm = triangle_paths_params(g)
+    if klm is not None:
+        cert = parity_obstruction(*klm)
+        if not replay_parity_certificate(cert):
+            raise AssertionError(f"the parity certificate for (k, l, m) = {klm} failed its replay")
+        return NotColorable(cert)
     return None
+
+
+def triangle_paths_params(g: Graph) -> tuple[int, int, int] | None:
+    """(k, l, m), ascending, if g is isomorphic to T_{k,l,m}; else None.
+
+    T_{k,l,m} has n + 3 edges, three pairwise adjacent vertices of degree
+    4 (the hubs) and every other vertex of degree 2. The degrees leave
+    each hub two edges into runs of degree-2 vertices, so with the hubs a
+    triangle there are three runs. g is T_{k,l,m} exactly when no run
+    returns to the hub it leaves, which puts one run on each hub pair,
+    every run has even length (2k, 2l, 2m), and the runs hold all n - 3
+    degree-2 vertices, so that no degree-2 cycle lies apart from the
+    hubs. The order of (k, l, m) does not matter, since the triangle's
+    symmetries permute the hub pairs. One walk per run end: O(n).
+    """
+    if g.m != g.n + 3:
+        return None
+    hubs = []
+    for v in range(g.n):
+        d = g.degree(v)
+        if d == 4:
+            hubs.append(v)
+        elif d != 2:
+            return None
+    x, y, z = hubs  # n + 3 edges with all other degrees 2 leave three hubs
+    if not (g.has_edge(x, y) and g.has_edge(y, z) and g.has_edge(x, z)):
+        return None
+    half: dict[Edge, int] = {}
+    inner = 0  # degree-2 vertices walked; each run is walked from both ends
+    for a in hubs:
+        for w in g.neighbors(a):
+            if w in hubs:
+                continue
+            walk = _path_between(g, a, w)
+            length = len(walk) - 1
+            if walk[-1] == a or length % 2:
+                return None
+            half[norm_edge(a, walk[-1])] = length // 2
+            inner += length - 1
+    if inner != 2 * (g.n - 3):
+        return None
+    k, l, m = sorted(half.values())
+    return k, l, m
 
 
 def has_triangle(g: Graph) -> bool:
@@ -151,13 +210,19 @@ def has_triangle(g: Graph) -> bool:
     return False
 
 
+def _t_cap(g: Graph) -> tuple[int, str]:
+    # the bound of color_bound with its name, for a graph already known
+    # to be connected
+    if has_triangle(g):
+        return g.m, "edge-count-bound"
+    return min(g.m, g.n - 1), "triangle-free-bound"
+
+
 def color_bound(g: Graph) -> int:
     """Sound upper bound on t: |E| always (every color needs an edge),
     tightened to n - 1 for triangle-free graphs."""
     _require_connected(g)
-    if has_triangle(g):
-        return g.m
-    return min(g.m, g.n - 1)
+    return _t_cap(g)[0]
 
 
 def _bfs_edge_order(g: Graph) -> list[Edge]:
@@ -338,15 +403,16 @@ def find_interval_coloring(
 def width(g: Graph, budget_ms: int | None = None) -> ColoringOutcome:
     """Exact minimum number of colors, scanning every t up to the bound.
 
-    Colorability is not monotone in t, so a miss at one t proves nothing
-    about larger t; NotColorable therefore requires exhausting the whole
-    range. A budget overrun yields Inconclusive naming the t in progress.
+    `precheck` answers odd cycles and T_{k,l,m} first, with no search and
+    whatever the budget. Otherwise colorability is not monotone in t, so a
+    miss at one t proves nothing about larger t; NotColorable therefore
+    requires exhausting the whole range. A budget overrun yields
+    Inconclusive naming the t in progress.
     """
     bad = precheck(g)
     if bad is not None:
         return bad
-    bound = color_bound(g)
-    reason = "triangle-free-bound" if not has_triangle(g) else "edge-count-bound"
+    bound, reason = _t_cap(g)  # precheck has checked connectivity
     deadline = None
     if budget_ms is not None:
         deadline = time.monotonic() + budget_ms / 1000.0

@@ -33,9 +33,9 @@ from outercolor.outerplanar import (
 )
 from outercolor.solver import (
     Colored,
-    ExhaustedAllT,
     NotColorable,
     OddCycleCertificate,
+    find_interval_coloring,
     parity_obstruction,
     replay_parity_certificate,
     width,
@@ -164,21 +164,22 @@ def test_criterion_3_triangle_paths_not_colorable():
     for k, l, m in [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 2, 1)]:
         g, _ = gen_triangle_graph(k, l, m)
         out = width(g)
-        exhausted = isinstance(out, NotColorable) and isinstance(
-            out.certificate, ExhaustedAllT
-        )
-        if not exhausted:
+        certified = out == NotColorable(parity_obstruction(*sorted((k, l, m))))
+        if not certified:
             problems.append(f"T({k},{l},{m}): width gave {out!r}")
-        cert = parity_obstruction(k, l, m)
-        if not replay_parity_certificate(cert):
+        elif not replay_parity_certificate(out.certificate):
             problems.append(f"T({k},{l},{m}): certificate replay failed")
+        # the exhaustion width no longer runs must agree with the certificate
+        found = [t for t in range(g.max_degree, g.m + 1) if find_interval_coloring(g, t)]
+        if found:
+            problems.append(f"T({k},{l},{m}): search colored it at t={found}")
     elapsed = time.monotonic() - started
     if elapsed >= 300:
         problems.append(f"took {elapsed:.1f}s, budget 300s")
     report(
         not problems,
         "criterion 3 (triangle-with-even-paths uncolorable)",
-        "; ".join(problems[:3]) or f"5 tuples exhausted + certified, {elapsed:.1f}s",
+        "; ".join(problems[:3]) or f"5 tuples certified + exhausted, {elapsed:.1f}s",
     )
 
 

@@ -176,9 +176,17 @@ def test_width_not_colorable_triangle_paths(capsys, monkeypatch):
     )
     code, out, _ = run(["width"], capsys, monkeypatch, stdin_text=graph_text)
     assert code == 1
-    verdict = json.loads(out)
-    assert verdict["verdict"] == "not-colorable"
-    assert verdict["certificate"]["kind"] == "exhausted-all-t"
+    assert json.loads(out) == {
+        "verdict": "not-colorable",
+        "certificate": {"kind": "parity", "k": 1, "l": 1, "m": 1},
+    }
+    # the exact search agrees at every t from max degree 4 to m = 9
+    for t in range(4, 10):
+        code, out, _ = run(
+            ["color", "--method", "exact", "--t", str(t)], capsys, monkeypatch,
+            stdin_text=graph_text,
+        )
+        assert (code, json.loads(out)) == (1, {"verdict": "no-coloring-at-t", "t": t})
 
 
 def test_width_colored_reports_t(capsys, monkeypatch):
@@ -348,6 +356,25 @@ def test_verify_huge_vertex_id_without_allocating():
     proc = _run_under_1gb_cap(["verify"], '{"t": 1, "edges": [[0, 20000000, 1]]}')
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"verdict": "ok", "t": 1, "edges": 1}
+
+
+@pytest.mark.parametrize(
+    "stdin_text, dot",
+    [
+        (HUGE_HEADER, "graph {\n  0;\n  1;\n  0 -- 1;\n}\n"),
+        (
+            '{"t": 1, "edges": [[0, 20000000, 1]]}',
+            'graph {\n  0;\n  20000000;\n  0 -- 20000000 [label="1", color="#4c72b0"];\n}\n',
+        ),
+    ],
+    ids=["edge-list", "coloring"],
+)
+def test_export_dot_huge_vertex_id_without_allocating(stdin_text, dot):
+    # DOT lists only the vertices that have an edge, so the 20M ids the
+    # input declares cost nothing
+    proc = _run_under_1gb_cap(["export-dot"], stdin_text)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == dot
 
 
 def test_exact_first_coloring_past_recursion_limit(capsys, monkeypatch):

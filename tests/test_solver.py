@@ -142,11 +142,33 @@ def test_width_chorded_hexagon_is_three():
     assert isinstance(out, Colored) and out.t == 3
 
 
+def triangle_with_paths(a, b, c):
+    """Triangle 0, 1, 2 with its sides 01, 12, 02 paralleled by paths of
+    a, b and c edges; T_{k,l,m} when all three are even."""
+    edges = [(0, 1), (1, 2), (0, 2)]
+    nxt = 3
+    for length, (x, y) in zip((a, b, c), edges[:]):
+        path = [x, *range(nxt, nxt + length - 1), y]
+        nxt += length - 1
+        edges += zip(path, path[1:])
+    return make_graph(nxt, edges)
+
+
 def test_width_t111_not_colorable_by_exhaustion():
+    # width answers from the replayed parity certificate; the search it
+    # skips still finds nothing at any t from max degree to m
     g, _ = gen_triangle_graph(1, 1, 1)
     out = width(g)
-    assert isinstance(out, NotColorable)
-    assert out.certificate == ExhaustedAllT(t_max=9, reason="edge-count-bound")
+    assert out == NotColorable(parity_obstruction(1, 1, 1))
+    assert replay_parity_certificate(out.certificate)
+    assert all(find_interval_coloring(g, t) is None for t in range(g.max_degree, g.m + 1))
+
+
+def test_width_exhausts_a_triangle_with_odd_paths():
+    # paths of 4, 3 and 3 edges: no precheck applies, and no t works
+    g = triangle_with_paths(4, 3, 3)
+    assert precheck(g) is None
+    assert width(g) == NotColorable(ExhaustedAllT(t_max=13, reason="edge-count-bound"))
 
 
 def test_width_triangle_free_reason():
@@ -163,10 +185,16 @@ def test_width_triangle_free_reason():
 
 
 def test_width_respects_budget():
-    g, _ = gen_triangle_graph(2, 2, 1)
+    # paths of 4, 5 and 5 edges: no precheck applies, and the search at
+    # t = 4 runs past its first deadline poll
+    g = triangle_with_paths(4, 5, 5)
+    assert precheck(g) is None
     out = width(g, budget_ms=0)
     assert isinstance(out, Inconclusive)
     assert out.bound_exhausted_at == g.max_degree
+    # the precheck settles T_{2,2,1} before the budget is looked at
+    t221, _ = gen_triangle_graph(2, 2, 1)
+    assert width(t221, budget_ms=0) == NotColorable(parity_obstruction(1, 2, 2))
 
 
 def test_width_deterministic():
