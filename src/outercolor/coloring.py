@@ -2,19 +2,25 @@
 
 An interval t-coloring assigns colors 1..t to edges so that the coloring
 is proper, every color in 1..t appears on some edge, and the set of
-colors at each vertex is a consecutive run of integers. The validator
-here is deliberately direct (dict scans, no cleverness) because every
-other component in the package treats it as ground truth.
+colors at each vertex is a consecutive run of integers. Every other
+component in the package treats the validator as ground truth, so
+`tests/test_validator_oracle.py` holds it to two plain reference
+validators, one that sorts every edge and palette and one that walks
+every vertex id: all three name the same first defect. The validator
+itself makes one linear pass: set tests decide that a coloring is valid,
+and only a failed test goes looking for its witness.
 """
 
 from __future__ import annotations
 
 import json
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain, starmap
+from operator import lt
 from typing import Iterable, Mapping
 
-from .graphs import Edge, Graph, GraphError, make_graph, norm_edge
+from .graphs import Edge, Graph, norm_edge
 
 
 class ColoringError(ValueError):
@@ -37,11 +43,13 @@ class EdgeColoring:
         if self.t < 1:
             raise ColoringError(f"t must be >= 1, got {self.t}")
         frozen = dict(self.assignment)
-        for (u, v), c in frozen.items():
-            if u >= v:
-                raise ColoringError(f"edge ({u}, {v}) not in (min, max) form")
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise ColoringError(f"color {c!r} on edge ({u}, {v}) is not an int")
+        # two bulk tests; only when one fails does the loop name the edge
+        if not (all(starmap(lt, frozen)) and set(map(type, frozen.values())) <= {int}):
+            for (u, v), c in frozen.items():
+                if u >= v:
+                    raise ColoringError(f"edge ({u}, {v}) not in (min, max) form")
+                if not isinstance(c, int) or isinstance(c, bool):
+                    raise ColoringError(f"color {c!r} on edge ({u}, {v}) is not an int")
         object.__setattr__(self, "assignment", frozen)
 
     def palette(self, g: Graph, v: int) -> tuple[int, ...]:
@@ -86,39 +94,68 @@ def check_interval_coloring(g: Graph, coloring: EdgeColoring) -> Violation | Non
     """Return the first violation in a fixed scan order, or None if the
     coloring is a valid interval t-coloring of g.
 
-    Scan order: edge cover and color range over sorted edges, then
-    properness and interval gaps per vertex in ascending order, then
-    unused colors ascending. Deterministic so tests can pin witnesses.
-    Only vertices with edges are visited, so the cost does not grow with
-    g.n.
+    Scan order: uncolored edges, then unknown edges and colors out of
+    range (at the smallest such edge, an unknown edge first), then
+    properness and interval gaps at the smallest failing vertex (the
+    smallest repeated color there), then the smallest unused color.
+    Deterministic so tests can pin witnesses.
+
+    One linear pass over the assignment: set equality for the edge
+    cover, then every (vertex, color) pair packed into one int key. The
+    keys are distinct iff the coloring is proper, and a proper palette
+    is an interval iff exactly one of its keys lacks a predecessor. No
+    cost grows with g.n or t. A failed test looks for its witness with
+    min() over the failing items, never by sorting.
     """
-    for e in g.sorted_edges():
-        if e not in coloring.assignment:
-            return Violation("uncolored-edge", edge=e)
-    for e in sorted(coloring.assignment):
+    a = coloring.assignment
+    t = coloring.t
+    covered = a.keys() == g.edges
+    if not covered:
+        missing = g.edges - a.keys()
+        if missing:
+            return Violation("uncolored-edge", edge=min(missing))
+    colors = a.values()
+    if a and (not covered or min(colors) < 1 or max(colors) > t):
+        e = min(e for e, c in a.items() if e not in g.edges or not 1 <= c <= t)
         if e not in g.edges:
             return Violation("unknown-edge", edge=e)
-        c = coloring.assignment[e]
-        if not (1 <= c <= coloring.t):
-            return Violation("color-out-of-range", edge=e, color=c)
-    # both loops passed, so the assignment colors exactly the edges of g
+        return Violation("color-out-of-range", edge=e, color=a[e])
+    # the assignment now colors exactly the edges of g, within 1..t
+    if a:
+        us, vs = zip(*a)
+        # key v * base + c: colors are 1..base - 1, so k + 1 is the next
+        # color at the same vertex or no key at all
+        base = max(colors) + 1
+        packed = [u * base + c for u, c in zip(us, colors)]
+        packed += [v * base + c for v, c in zip(vs, colors)]
+        keys = set(packed)
+        runs = len(keys) - len(keys.intersection([k + 1 for k in packed]))
+        if len(keys) != 2 * len(a) or runs != len(set(us).union(vs)):
+            return _palette_violation(a)
+    used = set(colors)
+    if len(used) < t:
+        # some color in 1..len(used) + 1 is missing, so t never bounds the scan
+        return Violation("color-unused", color=min(set(range(1, len(used) + 2)) - used))
+    return None
+
+
+def _palette_violation(assignment: Mapping[Edge, int]) -> Violation:
+    """The not-proper or not-interval witness at the smallest failing
+    vertex; some vertex must fail."""
     palettes: dict[int, list[int]] = defaultdict(list)
-    for (u, v), c in coloring.assignment.items():
+    for (u, v), c in assignment.items():
         palettes[u].append(c)
         palettes[v].append(c)
-    for v in sorted(palettes):
-        colors = sorted(palettes[v])
-        for a, b in zip(colors, colors[1:]):
-            if a == b:
-                return Violation("not-proper", vertex=v, color=a)
-        if colors[-1] - colors[0] != len(colors) - 1:
-            # proper already, so a span wider than the count means a gap
-            return Violation("not-interval", vertex=v)
-    used = coloring.used_colors()
-    for c in range(1, coloring.t + 1):
-        if c not in used:
-            return Violation("color-unused", color=c)
-    return None
+    v = min(
+        v
+        for v, p in palettes.items()
+        if len(set(p)) != len(p) or max(p) - min(p) != len(p) - 1
+    )
+    repeated = [c for c, k in Counter(palettes[v]).items() if k > 1]
+    if repeated:
+        return Violation("not-proper", vertex=v, color=min(repeated))
+    # proper, so a span wider than the count means a gap
+    return Violation("not-interval", vertex=v)
 
 
 def normalize(coloring: EdgeColoring) -> EdgeColoring:
@@ -160,13 +197,24 @@ def coloring_from_json(text: str) -> EdgeColoring:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ColoringError(f"invalid coloring JSON: {exc}") from None
-    if not isinstance(data, dict) or "t" not in data or "edges" not in data:
+    if not isinstance(data, dict) or "t" not in data or not isinstance(data.get("edges"), list):
         raise ColoringError('coloring JSON must be {"t": ..., "edges": [...]}')
     t = data["t"]
     if not isinstance(t, int) or isinstance(t, bool):
         raise ColoringError(f"t must be an int, got {t!r}")
-    assignment: dict[Edge, int] = {}
-    for item in data["edges"]:
+    items = data["edges"]
+    if (
+        set(map(type, items)) <= {list}
+        and set(map(len, items)) <= {3}
+        and set(map(type, chain.from_iterable(items))) <= {int}
+    ):
+        # every entry is [int, int, int] (a JSON bool is no int here)
+        assignment = {((u, v) if u < v else (v, u)): c for u, v, c in items}
+        if len(assignment) == len(items):
+            return EdgeColoring(t, assignment)
+    # some entry is malformed or repeated: name the first one
+    assignment = {}
+    for item in items:
         if not (isinstance(item, list) and len(item) == 3):
             raise ColoringError(f"edge entry {item!r} must be [u, v, color]")
         u, v, c = item
@@ -184,14 +232,19 @@ def graph_of_coloring(coloring: EdgeColoring) -> Graph:
 
     Lets a serialized coloring be verified standalone: the edge set is
     the graph. Callers that know the real graph should pass it instead.
+    EdgeColoring already rules out loops and the dict rules out repeated
+    edges, so a negative id is the one defect left to reject.
     """
-    if not coloring.assignment:
+    a = coloring.assignment
+    if not a:
         raise ColoringError("coloring has no edges")
-    n = max(v for e in coloring.assignment for v in e) + 1
-    try:
-        return make_graph(n, sorted(coloring.assignment))
-    except GraphError as exc:
-        raise ColoringError(str(exc)) from None
+    n = max(v for _, v in a) + 1  # every edge is (min, max)
+    first = min(a)
+    if first[0] < 0:
+        if n < 0:
+            raise ColoringError(f"vertex count must be nonnegative, got {n}")
+        raise ColoringError(f"edge {first} out of range for n={n}")
+    return Graph(n, frozenset(a))
 
 
 def coloring_from_pairs(t: int, pairs: Iterable[tuple[int, int, int]]) -> EdgeColoring:

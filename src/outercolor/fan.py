@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .coloring import EdgeColoring, check_interval_coloring
-from .graphs import Edge, Labels, gen_triangular_fan, norm_edge
+from .graphs import Edge, Graph, Labels, gen_triangular_fan, norm_edge
 from .outerplanar import (
     OuterEmbedding,
     recognize_outerplanar_2connected,
@@ -38,17 +38,18 @@ def fan_max_degree(n: int) -> int:
     return 3 if n == 3 else max(n - 1, 5)
 
 
-def _extend(colors: dict[Edge, int], ids: dict[str, int], k: int) -> None:
+def _extend(colors: dict[Edge, int], n: int, k: int) -> None:
     """Grow a k-fan coloring into a (k+2)-fan coloring in place: add
-    v_k, v_{k+1}, w_{k-1}, w_k and their eight edges. ids maps role
-    names to the vertex ids of the target fan."""
-    u = ids["u"]
+    v_k, v_{k+1}, w_{k-1}, w_k and their eight edges. Ids are those of
+    the target n-fan, as gen_triangular_fan numbers it: u = 0, v_i = i
+    and w_i = n - 1 + i."""
+    u = 0
 
     def v(i: int) -> int:
-        return ids[f"v{i}"]
+        return i
 
     def w(i: int) -> int:
-        return ids[f"w{i}"]
+        return n - 1 + i
 
     for a, b, c in (
         (u, v(k), k + 1),
@@ -111,15 +112,14 @@ def derive_base_table() -> dict[int, EdgeColoring]:
 
 def _extended_from(base: EdgeColoring, base_n: int, n: int) -> EdgeColoring:
     """The n-fan coloring grown from the base_n-fan coloring, n - base_n even."""
-    _, base_labels = gen_triangular_fan(base_n)
-    _, labels = gen_triangular_fan(n)
-    ids = {name: v for v, name in labels.items()}
-    colors = {
-        norm_edge(ids[base_labels[a]], ids[base_labels[b]]): c
-        for (a, b), c in base.assignment.items()
-    }
+
+    def moved(x: int) -> int:
+        # u and the v_i keep their ids; w_i moves from base_n - 1 + i to n - 1 + i
+        return x if x < base_n else x + n - base_n
+
+    colors = {norm_edge(moved(a), moved(b)): c for (a, b), c in base.assignment.items()}
     for k in range(base_n, n, 2):
-        _extend(colors, ids, k)
+        _extend(colors, n, k)
     return EdgeColoring(fan_max_degree(n), colors)
 
 
@@ -127,8 +127,13 @@ def _extended_from(base: EdgeColoring, base_n: int, n: int) -> EdgeColoring:
 load_base_table = cache(derive_base_table)
 
 
-def color_fan(n: int) -> EdgeColoring:
-    """Interval coloring of the n-fan with exactly max-degree colors."""
+def color_fan(n: int, g: Graph | None = None) -> EdgeColoring:
+    """Interval coloring of the n-fan with exactly max-degree colors.
+
+    The coloring is validated against g, the n-fan graph as
+    gen_triangular_fan(n) builds it; a caller that already has that
+    graph passes it, and otherwise it is built here.
+    """
     if n < 3:
         raise ValueError(f"fan needs n >= 3, got {n}")
     table = load_base_table()
@@ -137,7 +142,8 @@ def color_fan(n: int) -> EdgeColoring:
     else:
         base_n = 7 if n % 2 == 1 else 8
         col = _extended_from(table[base_n], base_n, n)
-    g, _ = gen_triangular_fan(n)
+    if g is None:
+        g, _ = gen_triangular_fan(n)
     bad = check_interval_coloring(g, col)
     if bad is not None:
         raise AssertionError(f"fan coloring invalid at n={n}: {bad.describe()}")
@@ -173,7 +179,7 @@ def separating_triangle_demo(n: int) -> FanReport:
     tris = tuple(separating_triangles(g, emb))
     if len(tris) != n - 4:
         raise AssertionError(f"expected {n - 4} separating triangles, found {len(tris)}")
-    col = color_fan(n)
+    col = color_fan(n, g)
     conclusion = (
         f"the {n}-fan has {len(tris)} separating triangle(s) yet admits an "
         f"interval {col.t}-coloring, so a separating triangle does not force "

@@ -79,10 +79,18 @@ def make_graph(n: int, edges: list[tuple[int, int]]) -> Graph:
     """Build a graph, rejecting loops, out-of-range ids, and duplicates.
 
     Duplicate edges (in either orientation) are an error rather than being
-    merged silently; that catches corpus bugs early.
+    merged silently; that catches corpus bugs early. The edge set is built
+    in one pass and tested as a whole; only a failed test scans the input
+    in order to name the first bad edge.
     """
     if n < 0:
         raise GraphError(f"vertex count must be nonnegative, got {n}")
+    normed = [(u, v) if u < v else (v, u) for u, v in edges]
+    built = frozenset(normed)
+    # tested on the list, in input order: a walk of the large set's hash
+    # order costs about half again as much at 10^5 edges
+    if len(built) == len(normed) and all(0 <= u < v < n for u, v in normed):
+        return Graph(n, built)
     seen: set[Edge] = set()
     for u, v in edges:
         if u == v:

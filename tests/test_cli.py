@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -9,7 +10,10 @@ from pathlib import Path
 import pytest
 
 import outercolor
+import outercolor.cli
+import outercolor.fan
 from outercolor.cli import main
+from outercolor.fan import load_base_table
 
 
 def run(argv, capsys, monkeypatch=None, stdin_text=None):
@@ -216,6 +220,39 @@ def test_verify_rejects_garbage(capsys, monkeypatch):
     assert json.loads(out)["verdict"] == "error"
 
 
+@pytest.mark.parametrize("command", ["verify", "export-dot"])
+@pytest.mark.parametrize("edges", [5, {"0": 1}, "abc", None])
+def test_non_list_edges_is_one_line_error(command, edges, capsys, monkeypatch):
+    # a dict or a string would be iterated entry by entry, and a number
+    # not at all: each is the wrong shape, not a bad entry
+    doc = json.dumps({"t": 1, "edges": edges})
+    code, out, _ = run([command], capsys, monkeypatch, stdin_text=doc)
+    assert code == 1
+    assert json.loads(out) == {
+        "verdict": "error",
+        "detail": 'coloring JSON must be {"t": ..., "edges": [...]}',
+    }
+
+
+@pytest.mark.parametrize(
+    "doc, detail",
+    [
+        ({"t": 1, "edges": [[0, 1, 1], [2, 3]]}, "edge entry [2, 3] must be [u, v, color]"),
+        ({"t": 1, "edges": [[0, 1, 1], [2, 3, True]]}, "edge entry [2, 3, True] must hold ints"),
+        ({"t": 1, "edges": [[0, 1, 1], [1, 0, 1]]}, "duplicate edge (0, 1) in coloring JSON"),
+        ({"t": 1, "edges": [[0, 1, 1], [2, 2, 1]]}, "edge (2, 2) not in (min, max) form"),
+        ({"t": 0, "edges": [[0, 1, 1]]}, "t must be >= 1, got 0"),
+        ({"t": 1, "edges": [[-2, 0, 1]]}, "edge (-2, 0) out of range for n=1"),
+        ({"t": 1, "edges": [[-3, -2, 1]]}, "vertex count must be nonnegative, got -1"),
+        ({"t": 1, "edges": []}, "coloring has no edges"),
+    ],
+)
+def test_verify_names_the_first_bad_entry(doc, detail, capsys, monkeypatch):
+    code, out, _ = run(["verify"], capsys, monkeypatch, stdin_text=json.dumps(doc))
+    assert code == 1
+    assert json.loads(out) == {"verdict": "error", "detail": detail}
+
+
 def test_fan_verifies(capsys, monkeypatch):
     code, out, _ = run(["fan", "--n", "12"], capsys)
     assert code == 0
@@ -238,6 +275,58 @@ def test_demo_reports_triangle_count(capsys):
     assert report["count"] == 5
     assert len(report["separating_triangles"]) == 5
     assert "does not force" in report["conclusion"]
+
+
+@pytest.mark.parametrize(
+    "argv, builds",
+    [
+        (["fan", "--n", "64"], 1),
+        (["fan", "--n", "64", "--format", "dot"], 2),
+        (["demo-axenovich", "--n", "64"], 1),
+    ],
+)
+def test_fan_graph_built_once_per_call(argv, builds, capsys, monkeypatch):
+    # the coloring is validated against one fan graph; only DOT output,
+    # which needs the graph itself after the coloring, builds a second
+    load_base_table()  # its one-time derivation builds small fans
+    calls = []
+    for module in (outercolor.fan, outercolor.cli):
+        original = module.gen_triangular_fan
+
+        def counted(n, original=original):
+            calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(module, "gen_triangular_fan", counted)
+    code, _, _ = run(argv, capsys)
+    assert code == 0
+    assert calls == [64] * builds
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "argv, stdin_text, code",
+    [
+        (["gen", "--family", "cycle", "--n", "5"], None, 0),
+        (["recognize"], "3 1\n0 0\n", 1),  # error verdict: a loop
+        (["gen", "--family", "cycle"], None, SystemExit),  # parser.error
+    ],
+    ids=["ok", "error-verdict", "usage-error"],
+)
+def test_main_leaves_gc_as_it_found_it(enabled, argv, stdin_text, code, capsys, monkeypatch):
+    if stdin_text is not None:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if code is SystemExit:
+            with pytest.raises(SystemExit):
+                main(argv)
+        else:
+            assert main(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_demo_small_n_is_usage_error(capsys):
@@ -356,6 +445,22 @@ def test_verify_huge_vertex_id_without_allocating():
     proc = _run_under_1gb_cap(["verify"], '{"t": 1, "edges": [[0, 20000000, 1]]}')
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"verdict": "ok", "t": 1, "edges": 1}
+
+
+@pytest.mark.parametrize(
+    "edges, color",
+    [([[0, 1, 1]], 2), ([[0, 1, 1000000000000]], 1)],
+    ids=["top-colors-unused", "low-colors-unused"],
+)
+def test_verify_huge_t_without_allocating(edges, color):
+    # a validator holding one bit per color would need 10^12 bits here
+    doc = json.dumps({"t": 1000000000000, "edges": edges})
+    proc = _run_under_1gb_cap(["verify"], doc)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "verdict": "violation", "kind": "color-unused", "edge": None, "vertex": None,
+        "color": color,
+    }
 
 
 @pytest.mark.parametrize(

@@ -38,6 +38,27 @@ def test_make_graph_rejects_duplicate_even_reversed():
         make_graph(3, [(0, 1), (1, 0)])
 
 
+@pytest.mark.parametrize(
+    "n, edges, message",
+    [
+        (-1, [], "vertex count must be nonnegative, got -1"),
+        (3, [(0, 1), (-1, 2)], "edge (-1, 2) out of range for n=3"),
+        (3, [(2, -1)], "edge (2, -1) out of range for n=3"),
+        (3, [(0, 1), (1, 3)], "edge (1, 3) out of range for n=3"),
+        (3, [(0, 1), (2, 2)], "loop at vertex 2"),
+        (3, [(1, 2), (0, 1), (2, 1)], "duplicate edge (2, 1)"),
+        # the first bad edge in input order is named, whatever its kind
+        (3, [(0, 1), (1, 0), (2, 2), (0, 5)], "duplicate edge (1, 0)"),
+        (3, [(0, 5), (0, 1), (1, 0)], "edge (0, 5) out of range for n=3"),
+        (3, [(1, 1), (0, 5)], "loop at vertex 1"),
+    ],
+)
+def test_make_graph_names_the_first_bad_edge(n, edges, message):
+    with pytest.raises(GraphError) as exc:
+        make_graph(n, edges)
+    assert str(exc.value) == message
+
+
 def test_adjacency_and_degree():
     g = make_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     assert g.neighbors(0) == (1, 2, 3)

@@ -1,16 +1,19 @@
-"""The validator checked against the per-vertex scan it replaced.
+"""The validator checked against the two scans it replaced.
 
-The reference below is the original `check_interval_coloring`: after the
-edge-cover and color-range loops it walks every vertex id 0..n-1 through
-the graph's adjacency, so its cost grows with n even where no edge is.
-The program's validator builds the palettes from the assignment and
-visits only the vertices that have edges, in ascending order. Both must
-return the same Violation, witness included, on valid colorings and on
-corrupted ones: recolored, uncolored, extra and swapped edges, a wrong t,
-shifted colors, isolated vertices and relabelled ids.
+The references below are earlier versions of `check_interval_coloring`.
+`reference_check` walks every vertex id 0..n-1 through the graph's
+adjacency, so its cost grows with n even where no edge is.
+`sorted_scan_check` sorts the edges, the assignment and every palette,
+and visits only the vertices that have edges. The program's validator
+makes one linear pass of set tests and looks for a witness only when a
+test fails. All three must return the same Violation, witness included,
+on valid colorings and on corrupted ones: recolored, uncolored, extra and
+swapped edges, a wrong t, shifted colors, isolated vertices, relabelled
+ids, and t or colors far beyond the edge count.
 """
 
 import random
+from collections import defaultdict
 
 from outercolor.coloring import EdgeColoring, Violation, check_interval_coloring
 from outercolor.fan import color_fan
@@ -45,6 +48,34 @@ def reference_check(g: Graph, coloring: EdgeColoring) -> Violation | None:
             if a == b:
                 return Violation("not-proper", vertex=v, color=a)
         if colors and colors[-1] - colors[0] != len(colors) - 1:
+            return Violation("not-interval", vertex=v)
+    used = coloring.used_colors()
+    for c in range(1, coloring.t + 1):
+        if c not in used:
+            return Violation("color-unused", color=c)
+    return None
+
+
+def sorted_scan_check(g: Graph, coloring: EdgeColoring) -> Violation | None:
+    for e in g.sorted_edges():
+        if e not in coloring.assignment:
+            return Violation("uncolored-edge", edge=e)
+    for e in sorted(coloring.assignment):
+        if e not in g.edges:
+            return Violation("unknown-edge", edge=e)
+        c = coloring.assignment[e]
+        if not (1 <= c <= coloring.t):
+            return Violation("color-out-of-range", edge=e, color=c)
+    palettes = defaultdict(list)
+    for (u, v), c in coloring.assignment.items():
+        palettes[u].append(c)
+        palettes[v].append(c)
+    for v in sorted(palettes):
+        colors = sorted(palettes[v])
+        for a, b in zip(colors, colors[1:]):
+            if a == b:
+                return Violation("not-proper", vertex=v, color=a)
+        if colors[-1] - colors[0] != len(colors) - 1:
             return Violation("not-interval", vertex=v)
     used = coloring.used_colors()
     for c in range(1, coloring.t + 1):
@@ -102,6 +133,42 @@ def corrupt(rng: random.Random, g: Graph, col: EdgeColoring) -> EdgeColoring:
     return EdgeColoring(t, colors)
 
 
+HUGE = 10**12
+STAR4 = make_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+
+PINNED = [
+    # two colors repeat at one vertex: the witness is the smaller one
+    (
+        STAR4,
+        EdgeColoring(2, {(0, 1): 2, (0, 2): 1, (0, 3): 2, (0, 4): 1}),
+        Violation("not-proper", vertex=0, color=1),
+    ),
+    # t or a color far past the edge count: a validator holding one bit
+    # per color would need 10^12 bits here
+    (make_graph(2, [(0, 1)]), EdgeColoring(HUGE, {(0, 1): 1}), Violation("color-unused", color=2)),
+    (
+        make_graph(2, [(0, 1)]),
+        EdgeColoring(HUGE, {(0, 1): HUGE}),
+        Violation("color-unused", color=1),
+    ),
+    (
+        make_graph(3, [(0, 1), (1, 2)]),
+        EdgeColoring(HUGE, {(0, 1): 1, (1, 2): HUGE}),
+        Violation("not-interval", vertex=1),
+    ),
+    (
+        make_graph(4, [(0, 1), (1, 2), (1, 3)]),
+        EdgeColoring(HUGE, {(0, 1): HUGE, (1, 2): 1, (1, 3): HUGE}),
+        Violation("not-proper", vertex=1, color=HUGE),
+    ),
+    (
+        make_graph(2, [(0, 1)]),
+        EdgeColoring(1, {(0, 1): HUGE}),
+        Violation("color-out-of-range", edge=(0, 1), color=HUGE),
+    ),
+]
+
+
 def test_validator_matches_per_vertex_reference():
     rng = random.Random(20130305)
     kinds = []
@@ -113,10 +180,16 @@ def test_validator_matches_per_vertex_reference():
                 cases.append(corrupt(rng, h, cases[-1]))
             for c in cases:
                 got = check_interval_coloring(h, c)
-                assert got == reference_check(h, c), (h, c)
+                assert got == reference_check(h, c) == sorted_scan_check(h, c), (h, c)
                 kinds.append(None if got is None else got.kind)
     # the corpus reaches every verdict the validator can give
     assert set(kinds) == {
         None, "uncolored-edge", "unknown-edge", "color-out-of-range", "not-proper",
         "not-interval", "color-unused",
     }
+
+
+def test_pinned_cases_match_both_references():
+    for g, col, want in PINNED:
+        assert check_interval_coloring(g, col) == want
+        assert reference_check(g, col) == sorted_scan_check(g, col) == want
