@@ -136,6 +136,12 @@ def _cmd_recognize(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
 
 
 def _cmd_color(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    if args.method == "construct":
+        for flag, value in (("--t", args.t), ("--budget-ms", args.budget_ms)):
+            if value is not None:
+                parser.error(f"{flag} needs --method exact")
+    elif args.trace:
+        parser.error("--trace needs --method construct")
     g = _load_graph(args.graph_in)
     if args.method == "construct":
         try:

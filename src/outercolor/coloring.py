@@ -9,6 +9,12 @@ validators, one that sorts every edge and palette and one that walks
 every vertex id: all three name the same first defect. The validator
 itself makes one linear pass: set tests decide that a coloring is valid,
 and only a failed test goes looking for its witness.
+
+Lemma (used by any exact method that tracks only the extreme colors): in
+a connected graph, a proper coloring whose vertex palettes are all
+intervals uses one consecutive block of colors, since adjacent palettes
+share a color and the union of two overlapping intervals is an interval.
+So every color in 1..t is in use iff colors 1 and t both are.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, starmap
 from operator import lt
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .graphs import Edge, Graph, norm_edge
 
@@ -51,13 +57,6 @@ class EdgeColoring:
                 if not isinstance(c, int) or isinstance(c, bool):
                     raise ColoringError(f"color {c!r} on edge ({u}, {v}) is not an int")
         object.__setattr__(self, "assignment", frozen)
-
-    def palette(self, g: Graph, v: int) -> tuple[int, ...]:
-        """Sorted colors on the edges at v."""
-        return tuple(sorted(self.assignment[norm_edge(v, w)] for w in g.neighbors(v)))
-
-    def used_colors(self) -> set[int]:
-        return set(self.assignment.values())
 
 
 @dataclass(frozen=True)
@@ -158,28 +157,6 @@ def _palette_violation(assignment: Mapping[Edge, int]) -> Violation:
     return Violation("not-interval", vertex=v)
 
 
-def normalize(coloring: EdgeColoring) -> EdgeColoring:
-    """Shift colors so the minimum used color is 1 and t is the maximum.
-
-    For a proper coloring of a connected graph whose vertex palettes are
-    all intervals, the used colors already form one consecutive block, so
-    this yields an interval t-coloring whenever one is reachable by
-    translation.
-    """
-    if not coloring.assignment:
-        raise ColoringError("cannot normalize an empty coloring")
-    lo = min(coloring.assignment.values())
-    hi = max(coloring.assignment.values())
-    shift = 1 - lo
-    return EdgeColoring(hi + shift, {e: c + shift for e, c in coloring.assignment.items()})
-
-
-def shift(coloring: EdgeColoring, k: int) -> EdgeColoring:
-    """Translate every color by k, stretching t to keep colors in range."""
-    new = {e: c + k for e, c in coloring.assignment.items()}
-    return EdgeColoring(max(coloring.t + k, max(new.values())), new)
-
-
 # ---------------------------------------------------------------------------
 # JSON serialization
 # ---------------------------------------------------------------------------
@@ -246,7 +223,3 @@ def graph_of_coloring(coloring: EdgeColoring) -> Graph:
         raise ColoringError(f"edge {first} out of range for n={n}")
     return Graph(n, frozenset(a))
 
-
-def coloring_from_pairs(t: int, pairs: Iterable[tuple[int, int, int]]) -> EdgeColoring:
-    """Convenience constructor from (u, v, color) triples."""
-    return EdgeColoring(t, {norm_edge(u, v): c for u, v, c in pairs})

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .coloring import EdgeColoring, check_interval_coloring
-from .graphs import Edge, Graph, Labels, gen_triangular_fan, norm_edge
+from .graphs import Edge, Graph, gen_triangular_fan, norm_edge
 from .outerplanar import (
     OuterEmbedding,
     recognize_outerplanar_2connected,
@@ -64,22 +64,14 @@ def _extend(colors: dict[Edge, int], n: int, k: int) -> None:
         colors[norm_edge(a, b)] = c
 
 
-def _base_constraints(n: int, labels: Labels) -> dict[int, frozenset[int]] | None:
+def _base_constraints(n: int) -> dict[int, frozenset[int]] | None:
     # the first extension step adds colors {t, t+1} at the apex and
-    # {t-3, t-2, t-1}-ish at the boundary; concretely it needs the apex
-    # palette 1..t and the last fan vertex to sit three below the top
-    ids = {name: v for v, name in labels.items()}
-    if n == 7:
-        return {
-            ids["u"]: frozenset(range(1, 7)),
-            ids["v6"]: frozenset({3, 4, 5}),
-        }
-    if n == 8:
-        return {
-            ids["u"]: frozenset(range(1, 8)),
-            ids["v7"]: frozenset({4, 5, 6}),
-        }
-    return None
+    # {t-3, t-2, t-1}-ish at the boundary; concretely it needs the apex u
+    # (id 0) to see 1..t and the last fan vertex v_{n-1} (id n - 1) to
+    # sit three below the top, where t = n - 1 for the n = 7 and 8 entries
+    if n not in (7, 8):
+        return None
+    return {0: frozenset(range(1, n)), n - 1: frozenset({n - 4, n - 3, n - 2})}
 
 
 def derive_base_table() -> dict[int, EdgeColoring]:
@@ -92,9 +84,9 @@ def derive_base_table() -> dict[int, EdgeColoring]:
     """
     table: dict[int, EdgeColoring] = {}
     for n in range(3, 9):
-        g, labels = gen_triangular_fan(n)
+        g, _ = gen_triangular_fan(n)
         t = fan_max_degree(n)
-        col = find_interval_coloring(g, t, require_palettes=_base_constraints(n, labels))
+        col = find_interval_coloring(g, t, require_palettes=_base_constraints(n))
         if col is None:
             raise AssertionError(f"no interval {t}-coloring of the {n}-fan found")
         table[n] = col

@@ -123,23 +123,6 @@ def is_connected(g: Graph) -> bool:
     return len(seen) == g.n
 
 
-def is_cycle_graph(g: Graph) -> bool:
-    """True iff the graph is a single cycle on all its vertices."""
-    return (
-        g.n >= 3
-        and g.m == g.n
-        and all(g.degree(v) == 2 for v in range(g.n))
-        and is_connected(g)
-    )
-
-
-def relabel(g: Graph, mapping: dict[int, int]) -> Graph:
-    """Apply a vertex permutation; mapping must be a bijection on 0..n-1."""
-    if sorted(mapping) != list(range(g.n)) or sorted(mapping.values()) != list(range(g.n)):
-        raise GraphError("mapping is not a permutation of the vertex ids")
-    return make_graph(g.n, [(mapping[u], mapping[v]) for u, v in g.sorted_edges()])
-
-
 # ---------------------------------------------------------------------------
 # Family generators
 # ---------------------------------------------------------------------------

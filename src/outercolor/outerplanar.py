@@ -49,35 +49,6 @@ class Rejection:
     reason: str
 
 
-class NoConfigError(Exception):
-    """No reducible configuration found; signals a precondition violation."""
-
-
-@dataclass(frozen=True)
-class PairConfig:
-    """Adjacent degree-2 vertices u, v with outside neighbors x, y.
-
-    u's neighbors are exactly {v, x} and v's are {u, y}; x != y.
-    """
-
-    u: int
-    v: int
-    x: int
-    y: int
-
-
-@dataclass(frozen=True)
-class TriangleConfig:
-    """Triangle u, v, w with d(u) = d(w) = 3 and d(v) = 2."""
-
-    u: int
-    v: int
-    w: int
-
-
-ReducibleConfig = PairConfig | TriangleConfig
-
-
 def _canonical_order(order: list[int]) -> tuple[int, ...]:
     i = order.index(0)
     rotated = order[i:] + order[:i]
@@ -240,28 +211,3 @@ def separating_triangles(g: Graph, emb: OuterEmbedding) -> list[tuple[int, int, 
             out.append((a, b, c))
     return sorted(out)
 
-
-def find_reducible_config(g: Graph) -> ReducibleConfig:
-    """Locate the structure every 2-connected outerplanar graph with
-    maximum degree 3 contains: either an edge whose endpoints both have
-    degree 2, or a triangle with degrees 3, 2, 3.
-
-    The pair is preferred; ties break to lowest vertex ids. Raises
-    NoConfigError when neither exists, which means the caller violated
-    the precondition.
-    """
-    for u, v in g.sorted_edges():
-        if g.degree(u) == 2 and g.degree(v) == 2:
-            x = next(w for w in g.neighbors(u) if w != v)
-            y = next(w for w in g.neighbors(v) if w != u)
-            if x == y:
-                # only the triangle graph does this and it has max degree 2
-                raise NoConfigError(f"pair ({u}, {v}) closes a triangle")
-            return PairConfig(u, v, x, y)
-    for v in range(g.n):
-        if g.degree(v) != 2:
-            continue
-        u, w = sorted(g.neighbors(v))
-        if g.has_edge(u, w) and g.degree(u) == 3 and g.degree(w) == 3:
-            return TriangleConfig(u, v, w)
-    raise NoConfigError("no adjacent degree-2 pair and no 3-2-3 triangle")

@@ -91,16 +91,16 @@ class ParityCertificate:
 
     In any hypothetical interval coloring, two of the three triangle
     edges share a parity (pigeonhole) and meet at some triangle vertex.
-    The certificate replays the forced-parity chain from one such vertex;
-    the chain uses nothing about the three path lengths beyond their
-    evenness, so it applies verbatim whichever vertex the pigeonhole
-    picks. Both parity cases end in the recorded contradiction.
+    The certificate replays the forced-parity chain from x; the chain uses
+    nothing about the three path lengths beyond their evenness, and the
+    chain from y or z is the chain from x of T on a permutation of
+    (k, l, m), so it covers whichever vertex the pigeonhole picks. Both
+    parity cases end in the recorded contradiction.
     """
 
     k: int
     l: int
     m: int
-    vertex: str
     cases: tuple[ParityCase, ParityCase]
 
 
@@ -210,19 +210,13 @@ def has_triangle(g: Graph) -> bool:
     return False
 
 
-def _t_cap(g: Graph) -> tuple[int, str]:
-    # the bound of color_bound with its name, for a graph already known
-    # to be connected
+def color_bound(g: Graph) -> tuple[int, str]:
+    """Sound upper bound on t for a connected g, with its name: |E|
+    always ("edge-count-bound": every color needs an edge), tightened to
+    n - 1 for triangle-free graphs ("triangle-free-bound")."""
     if has_triangle(g):
         return g.m, "edge-count-bound"
     return min(g.m, g.n - 1), "triangle-free-bound"
-
-
-def color_bound(g: Graph) -> int:
-    """Sound upper bound on t: |E| always (every color needs an edge),
-    tightened to n - 1 for triangle-free graphs."""
-    _require_connected(g)
-    return _t_cap(g)[0]
 
 
 def _bfs_edge_order(g: Graph) -> list[Edge]:
@@ -412,7 +406,7 @@ def width(g: Graph, budget_ms: int | None = None) -> ColoringOutcome:
     bad = precheck(g)
     if bad is not None:
         return bad
-    bound, reason = _t_cap(g)  # precheck has checked connectivity
+    bound, reason = color_bound(g)  # precheck has checked connectivity
     deadline = None
     if budget_ms is not None:
         deadline = time.monotonic() + budget_ms / 1000.0
@@ -431,10 +425,6 @@ def width(g: Graph, budget_ms: int | None = None) -> ColoringOutcome:
 # ---------------------------------------------------------------------------
 # Parity certificate for the triangle-with-even-paths family
 # ---------------------------------------------------------------------------
-
-def _role_ids(labels: dict[int, str]) -> dict[str, int]:
-    return {name: v for v, name in labels.items()}
-
 
 def _path_between(g: Graph, start_edge_end: int, first: int) -> list[int]:
     # walk from triangle vertex start through degree-2 vertices to the
@@ -481,21 +471,13 @@ def _build_case(g: Graph, a: int, b: int, c: int, p: int) -> ParityCase:
     return ParityCase(p, tuple(steps), conflict_edge=path_edges(p_bc)[-1])
 
 
-def parity_obstruction(k: int, l: int, m: int, vertex: str = "x") -> ParityCertificate:
-    """Certificate that the triangle graph admits no interval coloring.
-
-    vertex picks which triangle corner anchors the chain; the chain only
-    uses the evenness of the three paths, so any corner works, which is
-    what makes the single recorded chain cover the pigeonhole's choice.
-    """
-    if vertex not in ("x", "y", "z"):
-        raise ValueError(f"vertex must be x, y, or z, got {vertex!r}")
-    g, labels = gen_triangle_graph(k, l, m)
-    ids = _role_ids(labels)
-    a = ids[vertex]
-    b, c = sorted(set((ids["x"], ids["y"], ids["z"])) - {a})
-    cases = (_build_case(g, a, b, c, 0), _build_case(g, a, b, c, 1))
-    return ParityCertificate(k, l, m, vertex, cases)
+def parity_obstruction(k: int, l: int, m: int) -> ParityCertificate:
+    """Certificate that the triangle graph admits no interval coloring,
+    with the chain anchored at the triangle corner x."""
+    g, _ = gen_triangle_graph(k, l, m)
+    x, y, z = 0, 1, 2  # the triangle's ids in gen_triangle_graph
+    cases = (_build_case(g, x, y, z, 0), _build_case(g, x, y, z, 1))
+    return ParityCertificate(k, l, m, cases)
 
 
 def replay_parity_certificate(cert: ParityCertificate) -> bool:

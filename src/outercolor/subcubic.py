@@ -28,19 +28,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .coloring import EdgeColoring, Violation, check_interval_coloring
-from .graphs import Edge, Graph, is_cycle_graph, make_graph, norm_edge
-from .outerplanar import (
-    NoConfigError,
-    OuterEmbedding,
-    PairConfig,
-    Rejection,
-    TriangleConfig,
-    recognize_outerplanar_2connected,
-)
+from .graphs import Edge, Graph, make_graph, norm_edge
+from .outerplanar import OuterEmbedding, Rejection, recognize_outerplanar_2connected
 from .solver import find_interval_coloring
-
-# not called (the peel's heaps keep its tie-break); perfbench/tracing.py wraps it here
-from .outerplanar import find_reducible_config  # noqa: F401
 
 
 class ColoringPreconditionError(ValueError):
@@ -63,6 +53,62 @@ class ReductionStep:
     depth: int
     removed: tuple[int, ...] = ()
     attachments: tuple[int, ...] = ()
+
+
+class NoConfigError(Exception):
+    """No reducible configuration found; signals a precondition violation."""
+
+
+@dataclass(frozen=True)
+class PairConfig:
+    """Adjacent degree-2 vertices u, v with outside neighbors x, y.
+
+    u's neighbors are exactly {v, x} and v's are {u, y}; x != y.
+    """
+
+    u: int
+    v: int
+    x: int
+    y: int
+
+
+@dataclass(frozen=True)
+class TriangleConfig:
+    """Triangle u, v, w with d(u) = d(w) = 3 and d(v) = 2."""
+
+    u: int
+    v: int
+    w: int
+
+
+ReducibleConfig = PairConfig | TriangleConfig
+
+
+def find_reducible_config(g: Graph) -> ReducibleConfig:
+    """Locate the structure every 2-connected outerplanar graph with
+    maximum degree 3 contains: either an edge whose endpoints both have
+    degree 2, or a triangle with degrees 3, 2, 3.
+
+    The pair is preferred; ties break to lowest vertex ids. Raises
+    NoConfigError when neither exists, which means the caller violated
+    the precondition. The peel does not call this scan: its heaps make
+    the same pick level by level, and the tests hold them to this one.
+    """
+    for u, v in g.sorted_edges():
+        if g.degree(u) == 2 and g.degree(v) == 2:
+            x = next(w for w in g.neighbors(u) if w != v)
+            y = next(w for w in g.neighbors(v) if w != u)
+            if x == y:
+                # only the triangle graph does this and it has max degree 2
+                raise NoConfigError(f"pair ({u}, {v}) closes a triangle")
+            return PairConfig(u, v, x, y)
+    for v in range(g.n):
+        if g.degree(v) != 2:
+            continue
+        u, w = sorted(g.neighbors(v))
+        if g.has_edge(u, w) and g.degree(u) == 3 and g.degree(w) == 3:
+            return TriangleConfig(u, v, w)
+    raise NoConfigError("no adjacent degree-2 pair and no 3-2-3 triangle")
 
 
 def _assert_valid(g: Graph, col: EdgeColoring, where: str) -> EdgeColoring:
@@ -108,7 +154,7 @@ class _Peel:
         u, w = self.adj[v]
         return w in self.adj[u] and len(self.adj[u]) == 3 and len(self.adj[w]) == 3
 
-    def find_config(self) -> PairConfig | TriangleConfig:
+    def find_config(self) -> ReducibleConfig:
         """The configuration find_reducible_config would pick on the
         current graph: the lowest degree-2 pair edge, else the triangle
         with the lowest tip."""
@@ -339,13 +385,15 @@ def _splice_triangle(peel: _Peel, u: int, v: int, w: int, a: int, b: int) -> Non
     peel.paint(v, w, vw_color)
 
 
-def _color_rec(g: Graph, steps: list[ReductionStep]) -> EdgeColoring:
-    """Peel g down to a base case, color it, and splice back up.
+def _color_rec(g: Graph) -> tuple[EdgeColoring, tuple[ReductionStep, ...]]:
+    """Peel g, which has passed _check_preconditions, down to a base
+    case, color it, and splice back up.
 
-    Appends one ReductionStep per level to steps, with depth equal to
-    its index. The name predates the loops; perfbench/tracing.py wraps
-    the peel by it.
+    Returns the coloring, with at most 4 colors, and one ReductionStep
+    per level, with depth equal to its index. The name predates the
+    loops; perfbench/tracing.py wraps the peel by it.
     """
+    steps: list[ReductionStep] = []
     peel = _Peel(g)
     # per level: the splice rule, its vertices, the edges cut and added
     undo: list[tuple[Callable[..., None], tuple[int, ...], list[Edge], list[Edge]]] = []
@@ -399,7 +447,10 @@ def _color_rec(g: Graph, steps: list[ReductionStep]) -> EdgeColoring:
         peel.restore(removed, added)
         splice(peel, *verts)
         peel.check({z for e in removed for z in e}, f"{steps[depth].case} splice at depth {depth}")
-    return _assert_valid(g, _coloring_of(peel.colors), "the end of the peel")
+    col = _assert_valid(g, _coloring_of(peel.colors), "the end of the peel")
+    if col.t > 4:
+        raise AssertionError(f"construction used {col.t} colors")
+    return col, tuple(steps)
 
 
 def _check_preconditions(g: Graph) -> OuterEmbedding:
@@ -410,24 +461,16 @@ def _check_preconditions(g: Graph) -> OuterEmbedding:
         )
     if g.max_degree > 3:
         raise ColoringPreconditionError(f"max degree {g.max_degree} exceeds 3")
-    if is_cycle_graph(g) and g.n % 2 == 1:
+    # a 2-connected graph with as many edges as vertices is a cycle
+    if g.m == g.n and g.n % 2 == 1:
         raise ColoringPreconditionError("odd cycles have no interval coloring")
     return emb
-
-
-def _color_checked(g: Graph) -> tuple[EdgeColoring, tuple[ReductionStep, ...]]:
-    # g has passed _check_preconditions
-    steps: list[ReductionStep] = []
-    col = _color_rec(g, steps)
-    if col.t > 4:
-        raise AssertionError(f"construction used {col.t} colors")
-    return col, tuple(steps)
 
 
 def color_subcubic_le4_traced(g: Graph) -> tuple[EdgeColoring, tuple[ReductionStep, ...]]:
     """Interval coloring with at most 4 colors, plus the reduction trace."""
     _check_preconditions(g)
-    return _color_checked(g)
+    return _color_rec(g)
 
 
 def color_even_hamiltonian(g: Graph, emb: OuterEmbedding) -> EdgeColoring:
@@ -463,7 +506,7 @@ def color_optimal_subcubic(g: Graph) -> tuple[int, EdgeColoring]:
     if g.n % 2 == 0:
         col = color_even_hamiltonian(g, emb)
         return 3, col
-    col, _ = _color_checked(g)
+    col, _ = _color_rec(g)
     if col.t != 4:
         raise AssertionError(f"odd-order construction used {col.t} colors, wanted 4")
     return 4, col

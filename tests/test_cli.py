@@ -153,6 +153,21 @@ def test_color_exact_at_fixed_t_keeps_the_budget(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "flags",
+    [["--t", "1"], ["--budget-ms", "1000"], ["--method", "exact", "--trace"]],
+    ids=["t-without-exact", "budget-without-exact", "trace-with-exact"],
+)
+def test_color_rejects_a_flag_its_method_ignores(flags, capsys, monkeypatch):
+    # --t and --budget-ms steer only the exact search, --trace only the peel
+    hexagon = "6 7\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n0 3\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(hexagon))
+    with pytest.raises(SystemExit) as exc:
+        main(["color", *flags])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
     "gen_argv",
     [
         ["--family", "cycle", "--n", "4"],

@@ -5,17 +5,14 @@ from outercolor.coloring import (
     EdgeColoring,
     check_interval_coloring,
     coloring_from_json,
-    coloring_from_pairs,
     coloring_to_json,
     graph_of_coloring,
-    normalize,
-    shift,
 )
 from outercolor.graphs import gen_cycle, make_graph
 
 
 def c4_alternating():
-    return coloring_from_pairs(2, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 0, 2)])
+    return EdgeColoring(2, {(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 3): 2})
 
 
 def test_valid_cycle_coloring():
@@ -23,30 +20,23 @@ def test_valid_cycle_coloring():
     assert check_interval_coloring(g, c4_alternating()) is None
 
 
-def test_palette_is_sorted():
-    g = gen_cycle(4)
-    col = c4_alternating()
-    assert col.palette(g, 0) == (1, 2)
-    assert col.palette(g, 2) == (1, 2)
-
-
 def test_uncolored_edge_detected():
     g = gen_cycle(4)
-    col = coloring_from_pairs(2, [(0, 1, 1), (1, 2, 2), (2, 3, 1)])
+    col = EdgeColoring(2, {(0, 1): 1, (1, 2): 2, (2, 3): 1})
     v = check_interval_coloring(g, col)
     assert v is not None and v.kind == "uncolored-edge" and v.edge == (0, 3)
 
 
 def test_unknown_edge_detected():
     g = gen_cycle(4)
-    col = coloring_from_pairs(2, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 0, 2), (0, 2, 1)])
+    col = EdgeColoring(2, {(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 3): 2, (0, 2): 1})
     v = check_interval_coloring(g, col)
     assert v is not None and v.kind == "unknown-edge" and v.edge == (0, 2)
 
 
 def test_color_out_of_range_detected():
     g = gen_cycle(4)
-    col = coloring_from_pairs(2, [(0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 0, 2)])
+    col = EdgeColoring(2, {(0, 1): 1, (1, 2): 2, (2, 3): 3, (0, 3): 2})
     v = check_interval_coloring(g, col)
     assert v is not None and v.kind == "color-out-of-range"
     assert v.edge == (2, 3) and v.color == 3
@@ -54,7 +44,7 @@ def test_color_out_of_range_detected():
 
 def test_not_proper_detected():
     g = gen_cycle(4)
-    col = coloring_from_pairs(2, [(0, 1, 1), (1, 2, 1), (2, 3, 2), (3, 0, 2)])
+    col = EdgeColoring(2, {(0, 1): 1, (1, 2): 1, (2, 3): 2, (0, 3): 2})
     v = check_interval_coloring(g, col)
     assert v is not None and v.kind == "not-proper"
     assert v.vertex == 1 and v.color == 1
@@ -63,14 +53,14 @@ def test_not_proper_detected():
 def test_not_interval_detected():
     # star with colors 1, 3 at the center: proper but gapped
     g = make_graph(3, [(0, 1), (0, 2)])
-    col = coloring_from_pairs(3, [(0, 1, 1), (0, 2, 3)])
+    col = EdgeColoring(3, {(0, 1): 1, (0, 2): 3})
     v = check_interval_coloring(g, col)
     assert v is not None and v.kind == "not-interval" and v.vertex == 0
 
 
 def test_color_unused_detected():
     g = gen_cycle(4)
-    col = coloring_from_pairs(3, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 0, 2)])
+    col = EdgeColoring(3, {(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 3): 2})
     v = check_interval_coloring(g, col)
     assert v is not None and v.kind == "color-unused" and v.color == 3
 
@@ -79,36 +69,9 @@ def test_scan_order_reports_range_before_vertex_defects():
     # edge (0,1) is out of range AND vertex 2 is not proper;
     # range check scans first
     g = gen_cycle(4)
-    col = coloring_from_pairs(2, [(0, 1, 9), (1, 2, 2), (2, 3, 2), (3, 0, 1)])
+    col = EdgeColoring(2, {(0, 1): 9, (1, 2): 2, (2, 3): 2, (0, 3): 1})
     v = check_interval_coloring(g, col)
     assert v is not None and v.kind == "color-out-of-range" and v.edge == (0, 1)
-
-
-def test_normalize_shifts_to_one():
-    col = coloring_from_pairs(5, [(0, 1, 3), (1, 2, 4), (2, 3, 3), (3, 0, 4)])
-    norm = normalize(col)
-    assert norm.t == 2
-    assert norm.assignment == {(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 3): 2}
-    assert check_interval_coloring(gen_cycle(4), norm) is None
-
-
-def test_shift_then_normalize_is_identity_on_normalized():
-    g = gen_cycle(4)
-    col = c4_alternating()
-    for k in (1, 3, 10):
-        moved = shift(col, k)
-        assert check_interval_coloring(g, moved) is not None  # color 1..k unused
-        assert normalize(moved) == col
-
-
-def test_verdict_invariant_under_shift_after_normalize():
-    # normalize(shift_k(c)) == normalize(c), so verdicts agree
-    col = coloring_from_pairs(3, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 0, 2)])
-    g = gen_cycle(4)
-    for k in range(1, 5):
-        a = check_interval_coloring(g, normalize(shift(col, k)))
-        b = check_interval_coloring(g, normalize(col))
-        assert a == b
 
 
 def test_json_roundtrip_and_stability():

@@ -8,10 +8,8 @@ from outercolor.graphs import (
     gen_triangle_graph,
     gen_triangular_fan,
     is_connected,
-    is_cycle_graph,
     make_graph,
     read_edge_list,
-    relabel,
     write_dot,
     write_edge_list,
 )
@@ -80,24 +78,6 @@ def test_is_connected_answers_sparse_headers_without_adjacency():
     g = read_edge_list("20000000 1\n0 1\n")
     assert not is_connected(g)
     assert "adjacency" not in vars(g)  # the cached property was never built
-
-
-def test_is_cycle_graph():
-    assert is_cycle_graph(gen_cycle(5))
-    assert not is_cycle_graph(make_graph(3, [(0, 1), (1, 2)]))
-    # Two disjoint triangles: all degrees 2 but not connected.
-    two = make_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    assert not is_cycle_graph(two)
-
-
-def test_relabel_roundtrip():
-    g = gen_cycle(4)
-    mapping = {0: 2, 1: 3, 2: 0, 3: 1}
-    h = relabel(g, mapping)
-    assert h.n == 4 and h.m == 4
-    assert is_cycle_graph(h)
-    with pytest.raises(GraphError):
-        relabel(g, {0: 0, 1: 1, 2: 2, 3: 2})
 
 
 def test_gen_cycle_shape():

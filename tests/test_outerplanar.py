@@ -8,17 +8,14 @@ from outercolor.graphs import (
     norm_edge,
 )
 from outercolor.outerplanar import (
-    NoConfigError,
     OuterEmbedding,
-    PairConfig,
     Rejection,
-    TriangleConfig,
     bounded_faces,
-    find_reducible_config,
     recognize_outerplanar_2connected,
     separating_triangles,
     verify_embedding,
 )
+from outercolor.subcubic import NoConfigError, PairConfig, TriangleConfig, find_reducible_config
 
 
 def crossings_bruteforce(emb: OuterEmbedding) -> int:

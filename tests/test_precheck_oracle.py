@@ -22,7 +22,6 @@ from outercolor.graphs import (
     gen_triangle_graph,
     gen_triangular_fan,
     make_graph,
-    relabel,
 )
 from outercolor.solver import (
     NotColorable,
@@ -70,7 +69,7 @@ def _check(g: Graph) -> tuple[int, int, int] | None:
 def _shuffled(g: Graph, rng: random.Random) -> Graph:
     perm = list(range(g.n))
     rng.shuffle(perm)
-    return relabel(g, dict(enumerate(perm)))
+    return make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
 def _hubs_and_runs(hub_edges, runs) -> Graph:

@@ -9,18 +9,15 @@ from outercolor.graphs import (
     make_graph,
     norm_edge,
 )
-from outercolor.outerplanar import (
-    OuterEmbedding,
-    PairConfig,
-    find_reducible_config,
-    recognize_outerplanar_2connected,
-)
+from outercolor.outerplanar import OuterEmbedding, recognize_outerplanar_2connected
 from outercolor.solver import Colored, find_interval_coloring, width
 from outercolor.subcubic import (
     ColoringPreconditionError,
+    PairConfig,
     color_even_hamiltonian,
     color_optimal_subcubic,
     color_subcubic_le4_traced,
+    find_reducible_config,
 )
 
 

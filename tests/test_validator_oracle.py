@@ -49,7 +49,7 @@ def reference_check(g: Graph, coloring: EdgeColoring) -> Violation | None:
                 return Violation("not-proper", vertex=v, color=a)
         if colors and colors[-1] - colors[0] != len(colors) - 1:
             return Violation("not-interval", vertex=v)
-    used = coloring.used_colors()
+    used = set(coloring.assignment.values())
     for c in range(1, coloring.t + 1):
         if c not in used:
             return Violation("color-unused", color=c)
@@ -77,7 +77,7 @@ def sorted_scan_check(g: Graph, coloring: EdgeColoring) -> Violation | None:
                 return Violation("not-proper", vertex=v, color=a)
         if colors[-1] - colors[0] != len(colors) - 1:
             return Violation("not-interval", vertex=v)
-    used = coloring.used_colors()
+    used = set(coloring.assignment.values())
     for c in range(1, coloring.t + 1):
         if c not in used:
             return Violation("color-unused", color=c)
