@@ -6,7 +6,9 @@ Commands read the edge-list format (or coloring JSON where noted) from
     outercolor gen --family random --n 9 --seed 4 | outercolor color | outercolor verify
 
 Exit codes: 0 success, 1 for negative-but-valid verdicts (rejection,
-not colorable, violation, inconclusive), 2 for usage errors.
+not colorable, violation, inconclusive), 2 for usage errors, 3 for an
+internal error (a failed internal check, or memory ran out), reported as
+one `internal-error` verdict line.
 """
 
 from __future__ import annotations
@@ -146,11 +148,8 @@ def _cmd_color(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     if args.method == "construct":
         try:
             # parity-optimal construction at max degree 3; the plain
-            # reduction covers even cycles (2 colors, no chords to place).
-            # A graph with m < n - 1 is disconnected: leave it to the
-            # recognizer, which rejects it without building the adjacency
-            # that max_degree needs
-            if g.m >= g.n - 1 and g.max_degree == 3 and g.n % 2 == 0:
+            # reduction covers even cycles (2 colors, no chords to place)
+            if g.max_degree == 3 and g.n % 2 == 0:
                 _, col = color_optimal_subcubic(g)
                 steps: tuple = ()
             else:
@@ -373,6 +372,13 @@ def main(argv: list[str] | None = None) -> int:
         except (GraphError, ColoringError) as exc:
             _emit(_verdict({"verdict": "error", "detail": str(exc)}), getattr(args, "out", None))
             return 1
+        except (AssertionError, MemoryError) as exc:
+            # a failed internal check, or memory ran out: a verdict, not a
+            # traceback, with its own exit code
+            detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+            _emit(_verdict({"verdict": "internal-error", "detail": detail}),
+                  getattr(args, "out", None))
+            return 3
     finally:
         if gc_was_enabled:
             gc.enable()

@@ -9,8 +9,10 @@ dict so the algorithms themselves never depend on vertex names.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 Edge = tuple[int, int]
 Labels = dict[int, str]
@@ -66,7 +68,8 @@ class Graph:
 
     @cached_property
     def max_degree(self) -> int:
-        return max((len(nbrs) for nbrs in self.adjacency.values()), default=0)
+        # counted from the edge endpoints, so the adjacency is not built
+        return max(Counter(chain.from_iterable(self.edges)).values(), default=0)
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
@@ -102,6 +105,16 @@ def make_graph(n: int, edges: list[tuple[int, int]]) -> Graph:
             raise GraphError(f"duplicate edge ({u}, {v})")
         seen.add(e)
     return Graph(n, frozenset(seen))
+
+
+def neighbor_sets(g: Graph) -> list[set[int]]:
+    """A new mutable neighbor set for each vertex, built from the edge set
+    without the sorted tuples of Graph.adjacency."""
+    adj: list[set[int]] = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
 
 
 def is_connected(g: Graph) -> bool:

@@ -15,7 +15,7 @@ import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .graphs import Edge, Graph, is_connected, norm_edge
+from .graphs import Edge, Graph, is_connected, neighbor_sets, norm_edge
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,11 @@ def verify_embedding(g: Graph, order: list[int]) -> OuterEmbedding | Rejection:
     return OuterEmbedding(_canonical_order(order), frozenset(chords))
 
 
+def _reject(g: Graph, reason: str) -> Rejection:
+    # "disconnected" comes before every later reason
+    return Rejection(reason if is_connected(g) else "disconnected")
+
+
 def recognize_outerplanar_2connected(g: Graph) -> OuterEmbedding | Rejection:
     """Decide whether g is 2-connected outerplanar; return the embedding.
 
@@ -98,47 +103,66 @@ def recognize_outerplanar_2connected(g: Graph) -> OuterEmbedding | Rejection:
     neighbors, down to 3 vertices. Replay: reinsert deleted vertices
     between their neighbors to rebuild the outer walk. Verify: re-check
     every invariant on the rebuilt walk. Rejection reasons name the first
-    failed check.
+    failed check, in the order too-small, disconnected, edge-bound,
+    no-degree-2-vertex, order-not-hamiltonian.
+
+    The connectivity search only names a rejection: an accepted walk is a
+    Hamiltonian cycle, so an accepted graph is connected. A header with
+    m < n - 1 is answered "disconnected" from the counts, before any
+    adjacency is built. `is_connected` runs only when the edge bound or
+    the search for a degree-2 vertex has failed, and it turns that
+    rejection into "disconnected" when the graph is not connected. A
+    reduction that runs to its end settles connectivity for free: the
+    three vertices left all have neighbors iff g is connected, so the
+    replay and the verification only ever see connected graphs.
 
     Runs in O((n + m) log n) time. Degrees never rise during the
     reduction, so a min-heap of the vertices whose degree has dropped to 2
     yields the lowest-id degree-2 vertex at every step (stale entries are
     skipped when popped), and the replay inserts into a cyclic linked list.
-    A header with m < n - 1 is rejected as disconnected before any
-    adjacency is built (`is_connected` answers it from the counts).
     """
-    if g.n < 3:
+    n = g.n
+    if n < 3:
         return Rejection("too-small")
-    if not is_connected(g):
+    if g.m < n - 1:
         return Rejection("disconnected")
-    if g.m > 2 * g.n - 3:
-        return Rejection("edge-bound")
+    if g.m > 2 * n - 3:
+        return _reject(g, "edge-bound")
 
-    adj: list[set[int]] = [set(g.neighbors(v)) for v in range(g.n)]
-    ready = [v for v in range(g.n) if len(adj[v]) == 2]
-    alive = g.n
+    adj = neighbor_sets(g)
+    ready = [v for v in range(n) if len(adj[v]) == 2]
+    heappop, heappush = heapq.heappop, heapq.heappush
     steps: list[tuple[int, int, int]] = []
-    while alive > 3:
+    for _ in range(n - 3):
         while ready and len(adj[ready[0]]) != 2:
-            heapq.heappop(ready)  # deleted, or its degree fell below 2
+            heappop(ready)  # deleted, or its degree fell below 2
         if not ready:
-            return Rejection("no-degree-2-vertex")
-        v = heapq.heappop(ready)
-        x, y = sorted(adj[v])
-        adj[v] = set()
-        alive -= 1
+            return _reject(g, "no-degree-2-vertex")
+        v = heappop(ready)
+        x, y = adj[v]
+        if x > y:
+            x, y = y, x
+        adj[v].clear()
         for w, other in ((x, y), (y, x)):
-            before = len(adj[w])
-            adj[w].discard(v)
-            adj[w].add(other)
-            if len(adj[w]) == 2 < before:
-                heapq.heappush(ready, w)
+            aw = adj[w]
+            before = len(aw)
+            aw.discard(v)
+            aw.add(other)
+            if len(aw) == 2 < before:
+                heappush(ready, w)
         steps.append((v, x, y))
 
     # the walk is a cyclic linked list (nxt[v] follows v), started on the
     # three survivors: the only vertices whose neighbor sets are not emptied
-    a, b, c = (v for v in range(g.n) if adj[v])
-    nxt = [0] * g.n
+    survivors = [v for v in range(n) if adj[v]]
+    if len(survivors) != 3:
+        # a deletion bridges two vertices of one component, so it keeps
+        # every component and its connectivity: three vertices are left,
+        # and they all have neighbors iff they form one component, that
+        # is, iff g is connected
+        return Rejection("disconnected")
+    a, b, c = survivors
+    nxt = [0] * n
     nxt[a], nxt[b], nxt[c] = b, c, a
     for v, x, y in reversed(steps):
         # v goes between x and y. They are adjacent on the walk for genuine
@@ -147,7 +171,7 @@ def recognize_outerplanar_2connected(g: Graph) -> OuterEmbedding | Rejection:
             x = y
         nxt[x], nxt[v] = v, nxt[x]
     order = [a]
-    for _ in range(g.n - 1):
+    for _ in range(n - 1):
         order.append(nxt[order[-1]])
     return verify_embedding(g, order)
 

@@ -9,26 +9,39 @@ The down loop reduces until a base case colors what is left; the up loop
 undoes the reductions in reverse and splices colors for the restored
 edges using only the local palettes.
 
+Colors live in per-vertex palettes: at[v][w] is the color of edge vw,
+stored at both ends, so a palette is read without building an edge
+tuple. A count of edges per color sits beside them. The (min, max)
+edge assignment is built once, from the palettes, for the finished
+coloring.
+
 Invariant: after each splice the coloring is a valid interval coloring
 of the graph at that level. A splice changes the edges at no more than
 five vertices, and every other vertex keeps the palette it had one level
-down, so the splice checks only those vertices (proper, gap-free), plus
-a per-color edge count (every color 1..t in use) and an edge count
-(every edge colored). A bad splice fails at the exact depth that made
-it; the full validator then checks the finished coloring once. At most
-4 colors are ever produced; graphs of even order with degree-3 vertices
-get an exactly-3-color construction instead.
+down, so each level tests only these, at O(1) cost per touched vertex:
+
+- the palette's keys equal the vertex's neighbors: every edge at it is
+  colored, and nothing else is;
+- its colors are distinct and span its degree less one: the palette is
+  proper and has no gap;
+- the per-color counts hold exactly the colors 1..max: every color is in
+  use and none is below 1;
+- the counts sum to the level's edge count: every edge is colored.
+
+A bad splice fails at the exact depth that made it, and only then is
+its witness looked for, named with the validator's violation kinds. The
+full validator then checks the finished coloring once. At most 4 colors are
+ever produced; graphs of even order with degree-3 vertices get an
+exactly-3-color construction instead.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
 
 from .coloring import EdgeColoring, Violation, check_interval_coloring
-from .graphs import Edge, Graph, make_graph, norm_edge
+from .graphs import Edge, Graph, make_graph, neighbor_sets, norm_edge
 from .outerplanar import OuterEmbedding, Rejection, recognize_outerplanar_2connected
 from .solver import find_interval_coloring
 
@@ -123,117 +136,65 @@ def _coloring_of(assignment: dict[Edge, int]) -> EdgeColoring:
 
 
 class _Peel:
-    """The mutable graph and the shared coloring of one peel.
+    """The mutable graph and the per-vertex colors of one peel.
 
-    Vertex ids are the input's. Candidate configurations sit in two
-    lazily checked heaps: every edge that may join two degree-2 vertices
-    and every vertex that may be the tip of a 3-2-3 triangle. An entry is
-    re-checked when it reaches the top, and a reduction pushes the
-    candidates around the vertices it changed, so the valid candidates
-    are always in the heaps.
+    Vertex ids are the input's. adj[v] is v's neighbor set at the current
+    level. at[v] maps each neighbor w whose edge is colored to the color
+    of vw, stored at both ends. uses counts the colored edges of each
+    color and holds no color whose count is 0.
     """
 
+    __slots__ = ("adj", "at", "uses")
+
     def __init__(self, g: Graph) -> None:
-        self.adj = [set(g.neighbors(v)) for v in range(g.n)]
-        self.m = g.m
-        self.live = g.n  # vertices still in the graph
-        self.colors: dict[Edge, int] = {}
-        self.uses: Counter[int] = Counter()
-        self.pairs = [e for e in g.edges if self._is_pair(*e)]
-        heapq.heapify(self.pairs)
-        self.tips = [v for v in range(g.n) if self._is_tip(v)]
-
-    # -- graph ------------------------------------------------------------
-
-    def _is_pair(self, u: int, v: int) -> bool:
-        return v in self.adj[u] and len(self.adj[u]) == 2 and len(self.adj[v]) == 2
-
-    def _is_tip(self, v: int) -> bool:
-        if len(self.adj[v]) != 2:
-            return False
-        u, w = self.adj[v]
-        return w in self.adj[u] and len(self.adj[u]) == 3 and len(self.adj[w]) == 3
-
-    def find_config(self) -> ReducibleConfig:
-        """The configuration find_reducible_config would pick on the
-        current graph: the lowest degree-2 pair edge, else the triangle
-        with the lowest tip."""
-        adj = self.adj
-        while self.pairs:
-            u, v = self.pairs[0]
-            if self._is_pair(u, v):
-                (x,) = adj[u] - {v}
-                (y,) = adj[v] - {u}
-                return PairConfig(u, v, x, y)
-            heapq.heappop(self.pairs)
-        while self.tips:
-            v = self.tips[0]
-            if self._is_tip(v):
-                u, w = sorted(adj[v])
-                return TriangleConfig(u, v, w)
-            heapq.heappop(self.tips)
-        raise NoConfigError("no adjacent degree-2 pair and no 3-2-3 triangle")
-
-    def _link(self, a: int, b: int) -> None:
-        self.adj[a].add(b)
-        self.adj[b].add(a)
-        self.m += 1
-
-    def _cut(self, a: int, b: int) -> None:
-        self.adj[a].remove(b)
-        self.adj[b].remove(a)
-        self.m -= 1
-
-    def reduce(self, removed: list[Edge], added: list[Edge], dead: tuple[int, ...]) -> None:
-        for e in removed:
-            self._cut(*e)
-        for e in added:
-            self._link(*e)
-        self.live -= len(dead)
-        for z in {z for e in removed for z in e} - set(dead):
-            nbrs = self.adj[z]
-            if len(nbrs) == 2:
-                for r in nbrs:
-                    if len(self.adj[r]) == 2:
-                        heapq.heappush(self.pairs, norm_edge(z, r))
-            for c in (z, *nbrs):
-                if self._is_tip(c):
-                    heapq.heappush(self.tips, c)
-
-    def restore(self, removed: list[Edge], added: list[Edge]) -> None:
-        for e in added:
-            self._cut(*e)
-        for e in removed:
-            self._link(*e)
+        self.adj = neighbor_sets(g)
+        self.at: list[dict[int, int]] = [{} for _ in range(g.n)]
+        self.uses: dict[int, int] = {}
 
     def live_vertices(self) -> list[int]:
         return [v for v, nbrs in enumerate(self.adj) if nbrs]
 
-    # -- coloring ---------------------------------------------------------
-
     def paint(self, a: int, b: int, c: int) -> None:
-        e = norm_edge(a, b)
-        old = self.colors.get(e)
+        old = self.at[a].get(b)
         if old is not None:
-            self.uses[old] -= 1
-        self.colors[e] = c
-        self.uses[c] += 1
+            self._drop(old)
+        self.at[a][b] = self.at[b][a] = c
+        self.uses[c] = self.uses.get(c, 0) + 1
 
     def unpaint(self, a: int, b: int) -> int:
-        c = self.colors.pop(norm_edge(a, b))
-        self.uses[c] -= 1
+        c = self.at[a].pop(b)
+        del self.at[b][a]
+        self._drop(c)
         return c
 
-    def palette(self, v: int) -> set[int]:
-        """Colors on the colored edges at v."""
-        colors = self.colors
-        return {colors[e] for w in self.adj[v] if (e := norm_edge(v, w)) in colors}
+    def _drop(self, c: int) -> None:
+        left = self.uses[c] - 1
+        if left:
+            self.uses[c] = left
+        else:
+            del self.uses[c]
 
-    def _violation(self, verts) -> Violation | None:
+    def valid_at(self, verts, m: int) -> bool:
+        """True if the coloring is valid, given that every vertex outside
+        verts has the palette of an already checked coloring and the
+        graph has m edges."""
+        adj, at, uses = self.adj, self.at, self.uses
+        for v in verts:
+            colors = at[v]
+            if colors.keys() != adj[v]:
+                return False
+            palette = set(colors.values())
+            if len(palette) != len(colors) or max(palette) - min(palette) != len(colors) - 1:
+                return False
+        return min(uses) >= 1 and max(uses) == len(uses) and sum(uses.values()) == m
+
+    def _violation(self, verts, m: int) -> Violation | None:
+        """The witness for a failed valid_at, in the validator's terms."""
+        adj, at, uses = self.adj, self.at, self.uses
         for v in sorted(verts):
             palette = []
-            for w in self.adj[v]:
-                c = self.colors.get(norm_edge(v, w))
+            for w in sorted(adj[v]):
+                c = at[v].get(w)
                 if c is None:
                     return Violation("uncolored-edge", edge=norm_edge(v, w))
                 palette.append(c)
@@ -243,24 +204,40 @@ class _Peel:
                     return Violation("not-proper", vertex=v, color=a)
             if palette and palette[-1] - palette[0] != len(palette) - 1:
                 return Violation("not-interval", vertex=v)
-        in_use = [c for c, k in self.uses.items() if k]
-        if min(in_use) < 1:
-            return Violation("color-out-of-range", color=min(in_use))
-        for c in range(1, max(in_use) + 1):
-            if not self.uses[c]:
+        if min(uses) < 1:
+            return Violation("color-out-of-range", color=min(uses))
+        for c in range(1, max(uses) + 1):
+            if c not in uses:
                 return Violation("color-unused", color=c)
-        if len(self.colors) > self.m:
+        colored = sum(uses.values())
+        if colored > m:
             return Violation("unknown-edge")
-        if len(self.colors) < self.m:
+        if colored < m:
             return Violation("uncolored-edge")
+        for v in sorted(verts):
+            if stray := at[v].keys() - adj[v]:
+                return Violation("unknown-edge", edge=norm_edge(v, min(stray)))
         return None
 
-    def check(self, verts, where: str) -> None:
-        """Raise unless the coloring is valid, given that every vertex
-        outside verts has the palette of an already checked coloring."""
-        bad = self._violation(verts)
-        if bad is not None:
-            raise AssertionError(f"splice broke the coloring at {where}: {bad.describe()}")
+    def failure(self, verts, m: int, where: str) -> AssertionError:
+        """The error for a failed valid_at(verts, m), naming its witness."""
+        bad = self._violation(verts, m)
+        return AssertionError(f"splice broke the coloring at {where}: {bad.describe()}")
+
+
+def _is_tip(adj: list[set[int]], v: int) -> bool:
+    # v is the degree-2 vertex of a triangle whose other two vertices
+    # have degree 3
+    if len(adj[v]) != 2:
+        return False
+    u, w = adj[v]
+    return w in adj[u] and len(adj[u]) == 3 and len(adj[w]) == 3
+
+
+def _other(pair: set[int], v: int) -> int:
+    # the element of a two-element set that is not v
+    a, b = pair
+    return b if a == v else a
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +247,11 @@ class _Peel:
 def _alternate(peel: _Peel, start: int, first: int, stop: int) -> None:
     # paint the walk start, first, ... through degree-2 vertices up to
     # stop with 1, 2, 1, 2, ...
+    adj = peel.adj
     prev, cur, c = start, first, 1
     peel.paint(prev, cur, c)
     while cur != stop:
-        prev, cur, c = cur, next(z for z in peel.adj[cur] if z != prev), 3 - c
+        prev, cur, c = cur, _other(adj[cur], prev), 3 - c
         peel.paint(prev, cur, c)
 
 
@@ -331,7 +309,7 @@ def _splice_pair_new_edge(peel: _Peel, u: int, v: int, x: int, y: int) -> None:
 
 def _splice_pair_kept_edge(peel: _Peel, u: int, v: int, x: int, y: int) -> None:
     # xy is an edge of G, so the reduced graph simply lost u and v
-    sx, sy = peel.palette(x), peel.palette(y)
+    sx, sy = set(peel.at[x].values()), set(peel.at[y].values())
     if not sx & sy:
         raise AssertionError(f"palettes at {x} and {y} lost their shared edge")
     if sx == sy:
@@ -366,7 +344,7 @@ def _is_3_run(a: int, b: int, c: int) -> bool:
 
 def _splice_triangle(peel: _Peel, u: int, v: int, w: int, a: int, b: int) -> None:
     # the contracted vertex u had edges ua and ub: ub goes back to w
-    p = peel.colors[norm_edge(u, a)]
+    p = peel.at[u][a]
     q = peel.unpaint(u, b)
     peel.paint(w, b, q)
     c = min(p, q)
@@ -392,62 +370,144 @@ def _color_rec(g: Graph) -> tuple[EdgeColoring, tuple[ReductionStep, ...]]:
     Returns the coloring, with at most 4 colors, and one ReductionStep
     per level, with depth equal to its index. The name predates the
     loops; perfbench/tracing.py wraps the peel by it.
+
+    Candidate configurations sit in two lazily checked heaps: every edge
+    that may join two degree-2 vertices, as the key u * n + v with u < v,
+    and every vertex that may be the tip of a 3-2-3 triangle. An entry is
+    re-checked when it reaches the top, and a reduction pushes the
+    candidates around the two vertices it keeps, so the valid candidates
+    are always in the heaps. Each level takes the lowest pair edge, else
+    the triangle with the lowest tip: what find_reducible_config would
+    pick on the graph of that level.
     """
-    steps: list[ReductionStep] = []
+    n = g.n
     peel = _Peel(g)
-    # per level: the splice rule, its vertices, the edges cut and added
-    undo: list[tuple[Callable[..., None], tuple[int, ...], list[Edge], list[Edge]]] = []
+    adj = peel.adj
+    m, live = g.m, n  # edges and vertices still in the graph
+    heappop, heappush = heapq.heappop, heapq.heappush
+    pairs = [a * n + b for a, b in g.edges if len(adj[a]) == 2 == len(adj[b])]
+    heapq.heapify(pairs)
+    tips = [v for v in range(n) if _is_tip(adj, v)]
+    steps: list[ReductionStep] = []
+    # per level: the case and its vertices, (u, v, x, y) for a pair and
+    # (u, v, w, a, b) for a triangle
+    undo: list[tuple[str, tuple[int, ...]]] = []
     while True:
         depth = len(steps)
-        live = peel.live
         # a 2-connected graph with as many edges as vertices is a cycle
-        if peel.m == live:
+        if m == live:
             if live % 2 == 1:
                 raise AssertionError("the peel reached an odd cycle")
             steps.append(ReductionStep("BaseEvenCycle", depth))
             _color_even_cycle(peel)
             break
-        if peel.m <= 5:
+        if m <= 5:
             steps.append(ReductionStep("BaseSmall", depth))
             _color_small(peel)
             break
-        cfg = peel.find_config()
-        if isinstance(cfg, PairConfig):
-            u, v, x, y = cfg.u, cfg.v, cfg.x, cfg.y
-            ids = (u, v), (x, y)
-            removed = [norm_edge(u, x), norm_edge(u, v), norm_edge(v, y)]
-            if y in peel.adj[x]:
-                if peel.m - 3 == live - 2 and live % 2 == 1:
-                    steps.append(ReductionStep("Case12OddCycle", depth, *ids))
+        while pairs:
+            u, v = divmod(pairs[0], n)
+            au = adj[u]
+            if len(au) == 2 and v in au and len(adj[v]) == 2:
+                break
+            heappop(pairs)
+        if pairs:
+            x = _other(au, v)
+            y = _other(adj[v], u)
+            ax, ay = adj[x], adj[y]
+            if y in ax:
+                if m - 3 == live - 2 and live % 2 == 1:
+                    steps.append(ReductionStep("Case12OddCycle", depth, (u, v), (x, y)))
                     _color_odd_cycle_pair(peel, u, v, x, y)
                     break
-                steps.append(ReductionStep("Case12", depth, *ids))
-                splice, added = _splice_pair_kept_edge, []
+                case = "Case12"
+                m -= 3
             else:
-                steps.append(ReductionStep("Case11", depth, *ids))
-                splice, added = _splice_pair_new_edge, [norm_edge(x, y)]
-            verts, dead = (u, v, x, y), (u, v)
+                case = "Case11"
+                ax.add(y)
+                ay.add(x)
+                m -= 2
+            steps.append(ReductionStep(case, depth, (u, v), (x, y)))
+            undo.append((case, (u, v, x, y)))
+            au.clear()
+            adj[v].clear()
+            ax.remove(u)
+            ay.remove(v)
+            touched = (x, y)
         else:
-            u, v, w = cfg.u, cfg.v, cfg.w
-            (a,) = peel.adj[u] - {v, w}
-            (b,) = peel.adj[w] - {u, v}
+            while tips and not _is_tip(adj, tips[0]):
+                heappop(tips)
+            if not tips:
+                raise NoConfigError("no adjacent degree-2 pair and no 3-2-3 triangle")
+            v = tips[0]
+            u, w = sorted(adj[v])
+            au, aw = adj[u], adj[w]
+            a = next(z for z in au if z != v and z != w)
+            b = next(z for z in aw if z != u and z != v)
             if a == b:
                 # would make `a` a cut vertex, contradicting 2-connectedness
                 raise AssertionError(f"triangle {u},{v},{w} shares its external neighbor {a}")
             steps.append(ReductionStep("Case2", depth, (u, v, w), (a, b)))
-            splice, verts, dead = _splice_triangle, (u, v, w, a, b), (v, w)
-            removed = [norm_edge(u, v), norm_edge(u, w), norm_edge(v, w), norm_edge(w, b)]
-            added = [norm_edge(u, b)]
-        peel.reduce(removed, added, dead)
-        undo.append((splice, verts, removed, added))
+            undo.append(("Case2", (u, v, w, a, b)))
+            # contract: cut uv, uw, vw and wb, link ub
+            au.remove(v)
+            au.remove(w)
+            au.add(b)
+            adj[v].clear()
+            aw.clear()
+            adj[b].remove(w)
+            adj[b].add(u)
+            m -= 3
+            touched = (u, b)
+        live -= 2
+        # the two kept vertices are adjacent now, so the neighbors of both
+        # include both
+        for z in touched:
+            az = adj[z]
+            for r in az:
+                if len(az) == 2 and len(adj[r]) == 2:
+                    heappush(pairs, z * n + r if z < r else r * n + z)
+                if _is_tip(adj, r):
+                    heappush(tips, r)
 
-    peel.check(peel.live_vertices(), f"{steps[-1].case} base at depth {len(undo)}")
+    base = peel.live_vertices()
+    if not peel.valid_at(base, m):
+        raise peel.failure(base, m, f"{steps[-1].case} base at depth {len(undo)}")
     for depth in reversed(range(len(undo))):
-        splice, verts, removed, added = undo[depth]
-        peel.restore(removed, added)
-        splice(peel, *verts)
-        peel.check({z for e in removed for z in e}, f"{steps[depth].case} splice at depth {depth}")
-    col = _assert_valid(g, _coloring_of(peel.colors), "the end of the peel")
+        case, verts = undo[depth]
+        if case == "Case2":
+            u, v, w, a, b = verts
+            # cut ub, link uv, uw, vw and wb
+            adj[u].remove(b)
+            adj[b].remove(u)
+            adj[u].update((v, w))
+            adj[v].update((u, w))
+            adj[w].update((u, v, b))
+            adj[b].add(w)
+            m += 3
+            _splice_triangle(peel, u, v, w, a, b)
+            touched = (u, v, w, b)
+        else:
+            u, v, x, y = verts
+            if case == "Case11":
+                adj[x].remove(y)
+                adj[y].remove(x)
+                m += 2
+            else:
+                m += 3
+            adj[u].update((v, x))
+            adj[v].update((u, y))
+            adj[x].add(u)
+            adj[y].add(v)
+            if case == "Case11":
+                _splice_pair_new_edge(peel, u, v, x, y)
+            else:
+                _splice_pair_kept_edge(peel, u, v, x, y)
+            touched = verts
+        if not peel.valid_at(touched, m):
+            raise peel.failure(touched, m, f"{case} splice at depth {depth}")
+    assignment = {(v, w): c for v, cs in enumerate(peel.at) for w, c in cs.items() if v < w}
+    col = _assert_valid(g, _coloring_of(assignment), "the end of the peel")
     if col.t > 4:
         raise AssertionError(f"construction used {col.t} colors")
     return col, tuple(steps)

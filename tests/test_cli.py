@@ -12,8 +12,10 @@ import pytest
 import outercolor
 import outercolor.cli
 import outercolor.fan
+import outercolor.subcubic
 from outercolor.cli import main
 from outercolor.fan import load_base_table
+from outercolor.graphs import gen_random_outerplanar_subcubic, read_edge_list, write_edge_list
 
 
 def run(argv, capsys, monkeypatch=None, stdin_text=None):
@@ -91,16 +93,19 @@ def test_color_trace_goes_to_stderr(capsys, monkeypatch):
     assert "depth=0" in err
 
 
+# C9 with chords (0, 2) and (4, 6)
+C9_TWO_CHORDS = "9 11\n" + "".join(
+    f"{u} {v}\n" for u, v in [(i, (i + 1) % 9) for i in range(9)] + [(0, 2), (4, 6)]
+)
+
+
 def test_color_trace_names_input_vertex_ids(capsys, monkeypatch):
     # C9 with chords (0, 2) and (4, 6). Depth 0 cuts 7 and 8, depth 1
     # contracts the triangle 0, 1, 2 into 0, so at depth 2 the survivors
     # are 0, 3, 4, 5, 6 and input ids 3, 4, 6 differ from their ranks
-    c9 = "9 11\n" + "".join(
-        f"{u} {v}\n" for u, v in [(i, (i + 1) % 9) for i in range(9)] + [(0, 2), (4, 6)]
-    )
-    code, plain, _ = run(["color"], capsys, monkeypatch, stdin_text=c9)
+    code, plain, _ = run(["color"], capsys, monkeypatch, stdin_text=C9_TWO_CHORDS)
     assert code == 0
-    code, out, err = run(["color", "--trace"], capsys, monkeypatch, stdin_text=c9)
+    code, out, err = run(["color", "--trace"], capsys, monkeypatch, stdin_text=C9_TWO_CHORDS)
     assert code == 0
     assert out == plain
     assert err.splitlines() == [
@@ -115,6 +120,58 @@ def test_color_rejects_odd_cycle(capsys, monkeypatch):
     code, out, _ = run(["color"], capsys, monkeypatch, stdin_text=graph_text)
     assert code == 1
     assert json.loads(out)["verdict"] == "error"
+
+
+def test_internal_check_failure_is_a_verdict_with_exit_3(capsys, monkeypatch):
+    # a faulty splice trips the peel's own check: one JSON line and exit
+    # 3, not a traceback with the exit code of a negative verdict
+    original = outercolor.subcubic._splice_pair_new_edge
+
+    def faulty(peel, u, v, x, y):
+        original(peel, u, v, x, y)
+        peel.paint(u, v, peel.at[u][x])  # u sees one color twice
+
+    monkeypatch.setattr(outercolor.subcubic, "_splice_pair_new_edge", faulty)
+    code, out, err = run(["color"], capsys, monkeypatch, stdin_text=C9_TWO_CHORDS)
+    assert code == 3
+    assert err == ""
+    assert out.count("\n") == 1
+    verdict = json.loads(out)
+    assert verdict["verdict"] == "internal-error"
+    assert verdict["detail"].startswith(
+        "AssertionError: splice broke the coloring at Case11 splice at depth 0: not-proper"
+    )
+
+
+def test_memory_error_is_a_verdict_with_exit_3(capsys, monkeypatch):
+    def exhausted(g):
+        raise MemoryError
+
+    monkeypatch.setattr(outercolor.cli, "recognize_outerplanar_2connected", exhausted)
+    code, out, _ = run(["recognize"], capsys, monkeypatch, stdin_text=C9_TWO_CHORDS)
+    assert code == 3
+    assert json.loads(out) == {"verdict": "internal-error", "detail": "MemoryError"}
+
+
+@pytest.mark.parametrize("n", [40, 41])
+def test_color_never_builds_the_input_adjacency(n, capsys, monkeypatch):
+    # recognition, the max-degree test, the even construction and the
+    # peel all read the edge set, not the sorted-tuple Graph.adjacency
+    parsed = []
+
+    def read(text):
+        parsed.append(read_edge_list(text))
+        return parsed[-1]
+
+    monkeypatch.setattr(outercolor.cli, "read_edge_list", read)
+    text = write_edge_list(gen_random_outerplanar_subcubic(n, 1))
+    code, out, _ = run(["color"], capsys, monkeypatch, stdin_text=text)
+    assert code == 0
+    assert json.loads(out)["t"] == (3 if n % 2 == 0 else 4)
+    (g,) = parsed
+    # cached properties live in the instance dict once computed
+    assert "max_degree" in vars(g)
+    assert "adjacency" not in vars(g)
 
 
 def test_color_exact_at_fixed_t(capsys, monkeypatch):

@@ -15,6 +15,7 @@ import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from outercolor import outerplanar
 from outercolor.graphs import (
     Graph,
     gen_cycle,
@@ -160,9 +161,24 @@ def _with_crossing_chords(rng: random.Random, n: int, edges: set) -> set:
     return edges | {(a, b), norm_edge(p, q)}
 
 
+def _cycle_edges(vertices):
+    return [(a, b) for a, b in zip(vertices, vertices[1:] + vertices[:1])]
+
+
+def _clique_edges(vertices):
+    return [(a, b) for i, a in enumerate(vertices) for b in vertices[i + 1:]]
+
+
 def corpus():
     rng = random.Random(20260417)
     yield make_graph(2, [(0, 1)])
+    # disconnected, yet m >= n - 1, so the edge counts alone do not reject
+    # them: they reach the edge bound (K5 + K5, where m > 2n - 3) or the
+    # reduction, and must still be answered "disconnected"
+    yield make_graph(6, _cycle_edges([0, 1, 2]) + _cycle_edges([3, 4, 5]))
+    yield make_graph(9, _cycle_edges([0, 1, 2, 3]) + _cycle_edges([4, 5, 6, 7, 8]))
+    yield make_graph(6, _cycle_edges([0, 1, 2, 3, 4]))  # vertex 5 is isolated
+    yield make_graph(10, _clique_edges([0, 1, 2, 3, 4]) + _clique_edges([5, 6, 7, 8, 9]))
     for n in range(3, 40):
         yield gen_cycle(n)
     for n in range(3, 80):
@@ -206,6 +222,24 @@ def test_recognizer_matches_reference_on_seeded_corpus():
         "accept", "too-small", "disconnected", "edge-bound",
         "no-degree-2-vertex", "order-not-hamiltonian",
     }, reasons
+
+
+def test_accepting_never_searches_connectivity(monkeypatch):
+    # an accepted walk is a Hamiltonian cycle, so only a rejection may
+    # pay for the connectivity search
+    searched = []
+    monkeypatch.setattr(
+        outerplanar, "is_connected", lambda g: searched.append(g) or is_connected(g)
+    )
+    verdicts = set()
+    for g in corpus():
+        searched.clear()
+        got = recognize_outerplanar_2connected(g)
+        accepted = isinstance(got, OuterEmbedding)
+        verdicts.add(accepted)
+        if accepted:
+            assert searched == [], (g.n, sorted(g.edges))
+    assert verdicts == {True, False}
 
 
 def test_verify_embedding_matches_reference():

@@ -311,8 +311,40 @@ def test_wrong_splice_color_fails_at_its_depth(monkeypatch, rule, case):
     def faulty(peel, u, v, x_or_w, *rest):
         original(peel, u, v, x_or_w, *rest)
         # uv takes the color of u's other restored edge: u is not proper
-        peel.paint(u, v, peel.colors[norm_edge(u, x_or_w)])
+        peel.paint(u, v, peel.at[u][x_or_w])
 
     monkeypatch.setattr(subcubic, rule, faulty)
     with pytest.raises(AssertionError, match=rf"{case} splice at depth {depth}: not-proper"):
         color_subcubic_le4_traced(g)
+
+
+def c9_two_chords():
+    # its peel cuts the pair 7, 8 between 6 and 0 at depth 0 (Case11), so
+    # that splice is the last one the up loop makes
+    return make_graph(9, [(i, (i + 1) % 9) for i in range(9)] + [(0, 2), (4, 6)])
+
+
+@pytest.mark.parametrize(
+    "fault, found",
+    [
+        (lambda peel, u, v, x, y: peel.unpaint(u, v), "uncolored-edge edge=(7, 8)"),
+        (lambda peel, u, v, x, y: peel.paint(u, v, 9), "not-interval vertex=7"),
+        # one colored pair too many: the count of colored edges exceeds m
+        (lambda peel, u, v, x, y: peel.paint(u, y, 1), "unknown-edge"),
+        # a real edge's color moved onto a non-edge: the count still
+        # matches m, but the palette at 0 holds a key that is no neighbor
+        (lambda peel, u, v, x, y: peel.paint(u, y, peel.unpaint(3, 4)), "unknown-edge edge=(0, 7)"),
+    ],
+    ids=["uncolored", "gap", "extra-edge", "moved-edge"],
+)
+def test_each_splice_check_names_its_fault(monkeypatch, fault, found):
+    original = subcubic._splice_pair_new_edge
+
+    def faulty(peel, u, v, x, y):
+        original(peel, u, v, x, y)
+        fault(peel, u, v, x, y)
+
+    monkeypatch.setattr(subcubic, "_splice_pair_new_edge", faulty)
+    with pytest.raises(AssertionError) as exc:
+        color_subcubic_le4_traced(c9_two_chords())
+    assert str(exc.value) == f"splice broke the coloring at Case11 splice at depth 0: {found}"
