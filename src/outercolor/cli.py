@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import importlib
 import json
 import sys
 import time
@@ -27,7 +28,6 @@ from .coloring import (
     coloring_to_json,
     graph_of_coloring,
 )
-from .fan import color_fan, separating_triangle_demo
 from .graphs import (
     Graph,
     GraphError,
@@ -39,19 +39,51 @@ from .graphs import (
     write_dot,
     write_edge_list,
 )
-from .outerplanar import OuterEmbedding, recognize_outerplanar_2connected
-from .solver import (
-    BudgetExceeded,
-    Colored,
-    ExhaustedAllT,
-    Inconclusive,
-    NotColorable,
-    OddCycleCertificate,
-    ParityCertificate,
-    find_interval_coloring,
-    width,
-)
-from .subcubic import ColoringPreconditionError, color_optimal_subcubic, color_subcubic_le4_traced
+
+# A process loads the recognizer, the solver, the peel and the fan colorer
+# only when its command calls them, so `gen` and `verify` never import
+# them. The names this module uses from each are bound on first use as
+# globals here, and reached from outside as attributes of this module.
+_LAZY = {
+    "outerplanar": ("OuterEmbedding", "recognize_outerplanar_2connected"),
+    "solver": (
+        "BudgetExceeded",
+        "Colored",
+        "ExhaustedAllT",
+        "Inconclusive",
+        "NotColorable",
+        "OddCycleCertificate",
+        "ParityCertificate",
+        "find_interval_coloring",
+        "width",
+    ),
+    "subcubic": (
+        "ColoringPreconditionError",
+        "color_optimal_subcubic",
+        "color_subcubic_le4_traced",
+    ),
+    "fan": ("color_fan", "separating_triangle_demo"),
+}
+
+
+def _load(module: str) -> None:
+    """Import `module` of this package and bind the names this module uses
+    from it. A name already bound here, wrapped by a tracer or replaced by
+    a test, is kept. Works from `globals()`, so under `python -m` it fills
+    `__main__` and never imports this file a second time."""
+    mod = importlib.import_module(f".{module}", __package__)
+    scope = globals()
+    for name in _LAZY[module]:
+        scope.setdefault(name, getattr(mod, name))
+
+
+def __getattr__(name: str):
+    # PEP 562: `cli.width` and the like load their module on first access
+    for module, names in _LAZY.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _read_text(path: str | None) -> str:
@@ -120,6 +152,7 @@ def _need(parser: argparse.ArgumentParser, args: argparse.Namespace, name: str) 
 
 def _cmd_recognize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     g = _load_graph(args.graph_in)
+    _load("outerplanar")
     result = recognize_outerplanar_2connected(g)
     if isinstance(result, OuterEmbedding):
         _emit(
@@ -144,7 +177,10 @@ def _cmd_color(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
                 parser.error(f"{flag} needs --method exact")
     elif args.trace:
         parser.error("--trace needs --method construct")
+    else:
+        _check_budget(parser, args)
     g = _load_graph(args.graph_in)
+    _load("subcubic" if args.method == "construct" else "solver")
     if args.method == "construct":
         try:
             # parity-optimal construction at max degree 3; the plain
@@ -184,6 +220,11 @@ def _cmd_color(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return 0
 
 
+def _check_budget(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    if args.budget_ms is not None and args.budget_ms < 0:
+        parser.error(f"--budget-ms must be >= 0, got {args.budget_ms}")
+
+
 def _run_width(g: Graph, args: argparse.Namespace) -> Colored | None:
     """`width` on g, shared by `width` and `color --method exact`: a
     negative outcome is emitted as its verdict and comes back as None."""
@@ -205,7 +246,10 @@ def _emit_negative(outcome: NotColorable | Inconclusive, out: str | None) -> int
 
 
 def _cmd_width(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    outcome = _run_width(_load_graph(args.graph_in), args)
+    _check_budget(parser, args)
+    g = _load_graph(args.graph_in)
+    _load("solver")
+    outcome = _run_width(g, args)
     if outcome is None:
         return 1
     _emit(
@@ -249,6 +293,7 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 def _cmd_fan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     n = _need(parser, args, "n")
+    _load("fan")
     try:
         col = color_fan(n)
     except ValueError as exc:
@@ -263,6 +308,7 @@ def _cmd_fan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 def _cmd_demo(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     n = _need(parser, args, "n")
+    _load("fan")
     try:
         report = separating_triangle_demo(n)
     except ValueError as exc:

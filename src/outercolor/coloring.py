@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import json
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from itertools import chain, starmap
 from operator import lt
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .graphs import Edge, Graph, norm_edge
 
@@ -33,22 +32,25 @@ class ColoringError(ValueError):
     """Malformed coloring value or serialized coloring."""
 
 
-@dataclass(frozen=True)
 class EdgeColoring:
     """Colors 1..t on the edges of some graph.
 
     The assignment maps (min, max) edge tuples to colors. t is carried
     explicitly: a coloring may be invalid precisely because some color
     in 1..t is unused, so t cannot be inferred from the assignment.
+
+    The coloring keeps its own copy of the assignment. Equal by (t,
+    assignment); unhashable, since the assignment is a dict. Assignment
+    is refused.
     """
 
     t: int
-    assignment: Mapping[Edge, int]
+    assignment: dict[Edge, int]
 
-    def __post_init__(self):
-        if self.t < 1:
-            raise ColoringError(f"t must be >= 1, got {self.t}")
-        frozen = dict(self.assignment)
+    def __init__(self, t: int, assignment: Mapping[Edge, int]) -> None:
+        if t < 1:
+            raise ColoringError(f"t must be >= 1, got {t}")
+        frozen = dict(assignment)
         # two bulk tests; only when one fails does the loop name the edge
         if not (all(starmap(lt, frozen)) and set(map(type, frozen.values())) <= {int}):
             for (u, v), c in frozen.items():
@@ -56,11 +58,26 @@ class EdgeColoring:
                     raise ColoringError(f"edge ({u}, {v}) not in (min, max) form")
                 if not isinstance(c, int) or isinstance(c, bool):
                     raise ColoringError(f"color {c!r} on edge ({u}, {v}) is not an int")
-        object.__setattr__(self, "assignment", frozen)
+        fields = self.__dict__
+        fields["t"] = t
+        fields["assignment"] = frozen
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.t == other.t and self.assignment == other.assignment
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"EdgeColoring(t={self.t!r}, assignment={self.assignment!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """First defect found by the validator.
 
     kind is one of:

@@ -17,8 +17,8 @@ step), and the validator re-checks every n regardless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .coloring import EdgeColoring, check_interval_coloring
 from .graphs import Edge, Graph, gen_triangular_fan, norm_edge
@@ -144,8 +144,7 @@ def color_fan(n: int, g: Graph | None = None) -> EdgeColoring:
     return col
 
 
-@dataclass(frozen=True)
-class FanReport:
+class FanReport(NamedTuple):
     """What the separating-triangle demonstration found for one fan."""
 
     n: int

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
@@ -41,12 +40,37 @@ def norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Immutable undirected simple graph on vertices 0..n-1."""
+    """Immutable undirected simple graph on vertices 0..n-1.
+
+    Equal and hashed by (n, edges). Assignment is refused; the cached
+    properties are written straight into the instance `__dict__`.
+    """
 
     n: int
     edges: frozenset[Edge]
+
+    def __init__(self, n: int, edges: frozenset[Edge]) -> None:
+        fields = self.__dict__
+        fields["n"] = n
+        fields["edges"] = edges
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.n == other.n and self.edges == other.edges
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n!r}, edges={self.edges!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:

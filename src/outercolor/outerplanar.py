@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import Edge, Graph, is_connected, neighbor_sets, norm_edge
 
 
-@dataclass(frozen=True)
-class OuterEmbedding:
+class OuterEmbedding(NamedTuple):
     """Canonical outer-face walk plus the internal edges (chords).
 
     order starts at vertex 0 and runs in the direction that gives the
@@ -35,8 +34,7 @@ class OuterEmbedding:
         return {v: i for i, v in enumerate(self.order)}
 
 
-@dataclass(frozen=True)
-class Rejection:
+class Rejection(NamedTuple):
     """Why recognition declined the graph.
 
     `recognize_outerplanar_2connected` gives one of "too-small",
@@ -213,7 +211,8 @@ def bounded_faces(emb: OuterEmbedding) -> list[tuple[int, ...]]:
         faces.append(walk)
         # pushed in reverse so the leftmost sub-region is walked next
         regions.extend((a, b) for a, b in reversed(list(zip(walk, walk[1:]))) if b - a >= 2)
-    return [tuple(emb.order[p] for p in walk) for walk in faces]
+    order = emb.order
+    return [tuple(order[p] for p in walk) for walk in faces]
 
 
 def separating_triangles(g: Graph, emb: OuterEmbedding) -> list[tuple[int, int, int]]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coloring import EdgeColoring
 from .graphs import Edge, Graph, GraphError, gen_triangle_graph, is_connected, norm_edge
@@ -26,16 +26,14 @@ from .graphs import Edge, Graph, GraphError, gen_triangle_graph, is_connected, n
 # Outcomes and certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Colored:
+class Colored(NamedTuple):
     """An interval t-coloring was found; t is minimal when produced by width."""
 
     t: int
     coloring: EdgeColoring
 
 
-@dataclass(frozen=True)
-class ExhaustedAllT:
+class ExhaustedAllT(NamedTuple):
     """Every t from max degree to t_max was searched without success.
 
     reason says why t_max is a sound cap: "edge-count-bound" (all t colors
@@ -47,16 +45,14 @@ class ExhaustedAllT:
     reason: str
 
 
-@dataclass(frozen=True)
-class OddCycleCertificate:
+class OddCycleCertificate(NamedTuple):
     """Odd cycles need 3 proper colors but have max degree 2, so no
     interval coloring exists regardless of t."""
 
     n: int
 
 
-@dataclass(frozen=True)
-class ParityStep:
+class ParityStep(NamedTuple):
     """One forced deduction about edge color parities.
 
     kind "assume": the case hypothesis fixing `edges` to `parity`.
@@ -78,15 +74,13 @@ class ParityStep:
     path: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class ParityCase:
+class ParityCase(NamedTuple):
     assumed_parity: int
     steps: tuple[ParityStep, ...]
     conflict_edge: Edge
 
 
-@dataclass(frozen=True)
-class ParityCertificate:
+class ParityCertificate(NamedTuple):
     """Proof that the triangle-with-even-paths graph is not colorable.
 
     In any hypothetical interval coloring, two of the three triangle
@@ -104,13 +98,11 @@ class ParityCertificate:
     cases: tuple[ParityCase, ParityCase]
 
 
-@dataclass(frozen=True)
-class NotColorable:
+class NotColorable(NamedTuple):
     certificate: ExhaustedAllT | OddCycleCertificate | ParityCertificate
 
 
-@dataclass(frozen=True)
-class Inconclusive:
+class Inconclusive(NamedTuple):
     """The time budget ran out while searching at bound_exhausted_at."""
 
     bound_exhausted_at: int

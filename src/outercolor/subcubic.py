@@ -38,7 +38,7 @@ exactly-3-color construction instead.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coloring import EdgeColoring, Violation, check_interval_coloring
 from .graphs import Edge, Graph, make_graph, neighbor_sets, norm_edge
@@ -50,8 +50,7 @@ class ColoringPreconditionError(ValueError):
     """Input outside the algorithm's graph class."""
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     """One peel level, for traces.
 
     case is one of Case11, Case12, Case12OddCycle, Case2, BaseSmall,
@@ -72,8 +71,7 @@ class NoConfigError(Exception):
     """No reducible configuration found; signals a precondition violation."""
 
 
-@dataclass(frozen=True)
-class PairConfig:
+class PairConfig(NamedTuple):
     """Adjacent degree-2 vertices u, v with outside neighbors x, y.
 
     u's neighbors are exactly {v, x} and v's are {u, y}; x != y.
@@ -85,8 +83,7 @@ class PairConfig:
     y: int
 
 
-@dataclass(frozen=True)
-class TriangleConfig:
+class TriangleConfig(NamedTuple):
     """Triangle u, v, w with d(u) = d(w) = 3 and d(v) = 2."""
 
     u: int
@@ -544,9 +541,11 @@ def color_even_hamiltonian(g: Graph, emb: OuterEmbedding) -> EdgeColoring:
         raise ColoringPreconditionError("even order required")
     if g.max_degree != 3:
         raise ColoringPreconditionError("max degree must be exactly 3")
+    # a record field read is a descriptor call, so the loop reads locals
+    order, n = emb.order, g.n
     colors: dict[Edge, int] = {}
-    for i in range(g.n):
-        e = norm_edge(emb.order[i], emb.order[(i + 1) % g.n])
+    for i in range(n):
+        e = norm_edge(order[i], order[(i + 1) % n])
         colors[e] = 1 + (i % 2)
     for e in emb.chords:
         colors[e] = 3

@@ -17,6 +17,12 @@ from outercolor.cli import main
 from outercolor.fan import load_base_table
 from outercolor.graphs import gen_random_outerplanar_subcubic, read_edge_list, write_edge_list
 
+# the directory that holds the package, for child interpreters
+SRC = str(Path(outercolor.__file__).resolve().parent.parent)
+
+C4 = "4 4\n0 1\n1 2\n2 3\n0 3\n"
+C4_COLORING = '{"t": 2, "edges": [[0, 1, 1], [0, 3, 2], [1, 2, 2], [2, 3, 1]]}'
+
 
 def run(argv, capsys, monkeypatch=None, stdin_text=None):
     if stdin_text is not None:
@@ -222,6 +228,21 @@ def test_color_rejects_a_flag_its_method_ignores(flags, capsys, monkeypatch):
         main(["color", *flags])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["width"], ["color", "--method", "exact"], ["color", "--method", "exact", "--t", "4"]],
+)
+def test_negative_budget_is_usage_error(argv, capsys, monkeypatch):
+    # a budget below zero is nonsense input, not an inconclusive search
+    monkeypatch.setattr(sys, "stdin", io.StringIO(C4))
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--budget-ms", "-5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--budget-ms must be >= 0, got -5" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -478,11 +499,10 @@ def _run_under_1gb_cap(argv, stdin_text):
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    src = str(Path(outercolor.__file__).resolve().parent.parent)
     return subprocess.run(
         [sys.executable, "-m", "outercolor.cli", *argv],
         input=stdin_text, capture_output=True, text=True, timeout=60,
-        preexec_fn=cap, env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=cap, env=dict(os.environ, PYTHONPATH=SRC),
     )
 
 
@@ -566,3 +586,54 @@ def test_exact_first_coloring_past_recursion_limit(capsys, monkeypatch):
     assert code == 0
     verdict = json.loads(out)
     assert verdict["verdict"] == "ok" and verdict["t"] == 3
+
+
+# run by the child interpreter at start-up: at exit it writes the names
+# of every module it has loaded
+MODULES_AT_EXIT = """\
+import atexit, json, sys
+
+def _dump():
+    with open({out!r}, "w") as f:
+        json.dump(sorted(sys.modules), f)
+
+atexit.register(_dump)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, stdin_text, loads",
+    [
+        (["gen", "--family", "cycle", "--n", "4"], "", set()),
+        (["verify"], C4_COLORING, set()),
+        (["export-dot"], C4, set()),
+        (["export-dot"], C4_COLORING, set()),
+        (["recognize"], C4, {"outerplanar"}),
+        (["width"], C4, {"solver"}),
+        (["color", "--method", "exact"], C4, {"solver"}),
+        (["color", "--method", "exact", "--t", "2"], C4, {"solver"}),
+        (["color"], C4, {"outerplanar", "solver", "subcubic"}),
+        (["fan", "--n", "5"], "", {"outerplanar", "solver", "fan"}),
+        (["demo-axenovich", "--n", "5"], "", {"outerplanar", "solver", "fan"}),
+    ],
+    ids=["gen", "verify", "export-dot-graph", "export-dot-coloring", "recognize", "width",
+         "color-exact", "color-exact-t", "color", "fan", "demo-axenovich"],
+)
+def test_each_command_loads_only_its_modules(argv, stdin_text, loads, tmp_path):
+    # a process pays start-up only for what its command runs: beyond
+    # graphs and coloring, which every command needs, it loads exactly
+    # `loads`, and never `dataclasses`. The command runs as `python -m
+    # outercolor.cli`, so the cli code runs as __main__ and must never be
+    # imported a second time as `outercolor.cli`.
+    out = tmp_path / "modules.json"
+    (tmp_path / "sitecustomize.py").write_text(MODULES_AT_EXIT.format(out=str(out)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "outercolor.cli", *argv],
+        input=stdin_text, capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), SRC])),
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(out.read_text()))
+    program = {name for name in loaded if name.startswith("outercolor.")}
+    assert program == {f"outercolor.{name}" for name in {"coloring", "graphs"} | loads}
+    assert "dataclasses" not in loaded

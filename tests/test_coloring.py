@@ -81,6 +81,15 @@ def test_json_roundtrip_and_stability():
     back = coloring_from_json(text)
     assert back == col
     assert coloring_to_json(back) == text
+    # a value: its own copy of the assignment, the dataclass-style repr,
+    # and no hash, since the assignment is a dict
+    source = {(0, 1): 1}
+    single = EdgeColoring(1, source)
+    source[(1, 2)] = 2
+    assert single.assignment == {(0, 1): 1}
+    assert repr(single) == "EdgeColoring(t=1, assignment={(0, 1): 1})"
+    with pytest.raises(TypeError):
+        hash(col)
 
 
 def test_json_rejects_malformed():

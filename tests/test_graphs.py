@@ -230,3 +230,4 @@ def test_graph_is_hashable_value():
     assert g == h and hash(g) == hash(h)
     assert len({g, h}) == 1
     assert isinstance(g, Graph)
+    assert repr(g) == "Graph(n=3, edges=frozenset({(0, 1)}))"

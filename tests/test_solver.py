@@ -134,6 +134,7 @@ def test_width_odd_cycle_certificate():
     out = width(gen_cycle(7))
     assert isinstance(out, NotColorable)
     assert out.certificate == OddCycleCertificate(7)
+    assert repr(out) == "NotColorable(certificate=OddCycleCertificate(n=7))"
 
 
 def test_width_chorded_hexagon_is_three():
@@ -262,25 +263,23 @@ def test_parity_certificate_all_roles_all_small_parameters():
 
 
 def test_tampered_certificates_fail_replay():
-    from dataclasses import replace
-
     cert = parity_obstruction(1, 1, 1)
     good_case = cert.cases[0]
 
     # flip the assumed parity without rebuilding: chain inconsistent
-    bad1 = replace(cert, cases=(replace(good_case, assumed_parity=1), cert.cases[1]))
+    bad1 = cert._replace(cases=(good_case._replace(assumed_parity=1), cert.cases[1]))
     assert not replay_parity_certificate(bad1)
 
     # drop the final step: no contradiction reached
-    bad2 = replace(
-        cert, cases=(replace(good_case, steps=good_case.steps[:-1]), cert.cases[1])
+    bad2 = cert._replace(
+        cases=(good_case._replace(steps=good_case.steps[:-1]), cert.cases[1])
     )
     assert not replay_parity_certificate(bad2)
 
     # claim the conflict lands on a different edge
     wrong_edge = good_case.steps[0].edges[0]
-    bad3 = replace(
-        cert, cases=(replace(good_case, conflict_edge=wrong_edge), cert.cases[1])
+    bad3 = cert._replace(
+        cases=(good_case._replace(conflict_edge=wrong_edge), cert.cases[1])
     )
     assert not replay_parity_certificate(bad3)
 
