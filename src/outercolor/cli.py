@@ -8,7 +8,8 @@ Commands read the edge-list format (or coloring JSON where noted) from
 Exit codes: 0 success, 1 for negative-but-valid verdicts (rejection,
 not colorable, violation, inconclusive), 2 for usage errors, 3 for an
 internal error (a failed internal check, or memory ran out), reported as
-one `internal-error` verdict line.
+one `internal-error` verdict line. A call builds only its own command's
+parser; top-level help and top-level usage errors build every command's.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .coloring import (
     EdgeColoring,
     check_interval_coloring,
     coloring_from_json,
+    coloring_to_dict,
     coloring_to_json,
     graph_of_coloring,
 )
@@ -257,7 +259,7 @@ def _cmd_width(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             {
                 "verdict": "colored",
                 "t": outcome.t,
-                "coloring": json.loads(coloring_to_json(outcome.coloring)),
+                "coloring": coloring_to_dict(outcome.coloring),
             }
         ),
         args.out,
@@ -294,12 +296,14 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 def _cmd_fan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     n = _need(parser, args, "n")
     _load("fan")
+    # DOT draws the graph that the coloring is validated against, so it is
+    # built once here; n < 3 is left to color_fan's error
+    g = gen_triangular_fan(n)[0] if args.format == "dot" and n >= 3 else None
     try:
-        col = color_fan(n)
+        col = color_fan(n, g)
     except ValueError as exc:
         parser.error(str(exc))
-    if args.format == "dot":
-        g, _ = gen_triangular_fan(n)
+    if g is not None:
         _emit(write_dot(g, col.assignment), args.out)
     else:
         _emit(coloring_to_json(col), args.out)
@@ -319,7 +323,7 @@ def _cmd_demo(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                 "n": report.n,
                 "separating_triangles": [list(t) for t in report.separating_triangles],
                 "count": len(report.separating_triangles),
-                "coloring": json.loads(coloring_to_json(report.coloring)),
+                "coloring": coloring_to_dict(report.coloring),
                 "conclusion": report.conclusion,
             }
         ),
@@ -339,69 +343,60 @@ def _cmd_export_dot(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     return 0
 
 
-def _add_io(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--in", dest="graph_in", metavar="FILE", help="input file (default stdin)")
-    sub.add_argument("--out", metavar="FILE", help="output file (default stdout)")
+_OUT = ("--out", {"metavar": "FILE", "help": "output file (default stdout)"})
+_IN = ("--in", {"dest": "graph_in", "metavar": "FILE", "help": "input file (default stdin)"})
+_IO = (_IN, _OUT)
+_N = ("--n", {"type": int})
+_BUDGET = ("--budget-ms", {"type": int, "dest": "budget_ms"})
+_FORMAT = ("--format", {"choices": ["json", "dot"], "default": "json"})
+
+# name: (help, handler, its arguments in help order)
+_COMMANDS = {
+    "gen": ("generate a graph family member as an edge list", _cmd_gen, (
+        ("--family", {"choices": ["cycle", "tf", "tklm", "random"], "required": True}),
+        _N, ("--k", {"type": int}), ("--l", {"type": int}), ("--m", {"type": int}),
+        ("--seed", {"type": int, "default": 0}), _OUT,
+    )),
+    "recognize": ("test 2-connected outerplanarity, emit embedding", _cmd_recognize, _IO),
+    "color": ("interval-color a graph", _cmd_color, (
+        *_IO,
+        ("--method", {"choices": ["construct", "exact"], "default": "construct"}),
+        ("--t", {"type": int, "help": "exact search at this color count only"}),
+        _BUDGET, _FORMAT,
+        ("--trace", {"action": "store_true", "help": "reduction steps on stderr"}),
+    )),
+    "width": ("exact minimum color count by exhaustive search", _cmd_width, (*_IO, _BUDGET)),
+    "verify": ("validate a coloring JSON document", _cmd_verify, _IO),
+    "fan": ("color the n-fan with exactly max-degree colors", _cmd_fan, (_N, _FORMAT, _OUT)),
+    "demo-axenovich": (
+        "fan report: separating triangles do not block interval coloring", _cmd_demo, (_N, _OUT)
+    ),
+    "export-dot": ("DOT export of an edge list or coloring JSON", _cmd_export_dot, _IO),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(
+    command: str | None = None,
+) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subparsers by name. A known `command`
+    gets only its own subparser, with the full command list as metavar,
+    so the top-level usage in its errors reads as the full tree's.
+    Anything else (`-h`, no command, an unknown name) gets every one."""
     parser = argparse.ArgumentParser(
         prog="outercolor",
         description="interval edge-colorings of 2-connected outerplanar graphs",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("gen", help="generate a graph family member as an edge list")
-    p.set_defaults(func=_cmd_gen)
-    p.add_argument("--family", choices=["cycle", "tf", "tklm", "random"], required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--l", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", metavar="FILE", help="output file (default stdout)")
-
-    p = subs.add_parser("recognize", help="test 2-connected outerplanarity, emit embedding")
-    p.set_defaults(func=_cmd_recognize)
-    _add_io(p)
-
-    p = subs.add_parser("color", help="interval-color a graph")
-    p.set_defaults(func=_cmd_color)
-    _add_io(p)
-    p.add_argument("--method", choices=["construct", "exact"], default="construct")
-    p.add_argument("--t", type=int, help="exact search at this color count only")
-    p.add_argument("--budget-ms", type=int, dest="budget_ms")
-    p.add_argument("--format", choices=["json", "dot"], default="json")
-    p.add_argument("--trace", action="store_true", help="reduction steps on stderr")
-
-    p = subs.add_parser("width", help="exact minimum color count by exhaustive search")
-    p.set_defaults(func=_cmd_width)
-    _add_io(p)
-    p.add_argument("--budget-ms", type=int, dest="budget_ms")
-
-    p = subs.add_parser("verify", help="validate a coloring JSON document")
-    p.set_defaults(func=_cmd_verify)
-    _add_io(p)
-
-    p = subs.add_parser("fan", help="color the n-fan with exactly max-degree colors")
-    p.set_defaults(func=_cmd_fan)
-    p.add_argument("--n", type=int)
-    p.add_argument("--format", choices=["json", "dot"], default="json")
-    p.add_argument("--out", metavar="FILE", help="output file (default stdout)")
-
-    p = subs.add_parser(
-        "demo-axenovich",
-        help="fan report: separating triangles do not block interval coloring",
+    one = command in _COMMANDS
+    subs = parser.add_subparsers(
+        dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}" if one else None
     )
-    p.set_defaults(func=_cmd_demo)
-    p.add_argument("--n", type=int)
-    p.add_argument("--out", metavar="FILE", help="output file (default stdout)")
-
-    p = subs.add_parser("export-dot", help="DOT export of an edge list or coloring JSON")
-    p.set_defaults(func=_cmd_export_dot)
-    _add_io(p)
-
-    return parser
+    for name in [command] if one else _COMMANDS:
+        help_text, func, arguments = _COMMANDS[name]
+        p = subs.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+    return parser, subs.choices
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -411,10 +406,12 @@ def main(argv: list[str] | None = None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        parser = build_parser()
+        argv = sys.argv[1:] if argv is None else argv
+        parser, subparsers = build_parser(argv[0] if argv else None)
         args = parser.parse_args(argv)
         try:
-            return args.func(args, parser)
+            # a handler's usage errors show its own command's usage
+            return args.func(args, subparsers[args.command])
         except (GraphError, ColoringError) as exc:
             _emit(_verdict({"verdict": "error", "detail": str(exc)}), getattr(args, "out", None))
             return 1

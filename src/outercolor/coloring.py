@@ -178,12 +178,15 @@ def _palette_violation(assignment: Mapping[Edge, int]) -> Violation:
 # JSON serialization
 # ---------------------------------------------------------------------------
 
-def coloring_to_json(coloring: EdgeColoring) -> str:
-    """Serialize as {"t": t, "edges": [[u, v, c], ...]} with edges sorted
-    by (min, max). Byte-stable for a given coloring.
-    """
+def coloring_to_dict(coloring: EdgeColoring) -> dict:
+    """{"t": t, "edges": [[u, v, c], ...]} with edges sorted by (min, max)."""
     edges = [[u, v, coloring.assignment[(u, v)]] for u, v in sorted(coloring.assignment)]
-    return json.dumps({"t": coloring.t, "edges": edges}, separators=(", ", ": ")) + "\n"
+    return {"t": coloring.t, "edges": edges}
+
+
+def coloring_to_json(coloring: EdgeColoring) -> str:
+    """Serialize `coloring_to_dict(coloring)`. Byte-stable for a given coloring."""
+    return json.dumps(coloring_to_dict(coloring), separators=(", ", ": ")) + "\n"
 
 
 def coloring_from_json(text: str) -> EdgeColoring:

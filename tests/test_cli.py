@@ -1,3 +1,4 @@
+import argparse
 import gc
 import io
 import json
@@ -22,6 +23,9 @@ SRC = str(Path(outercolor.__file__).resolve().parent.parent)
 
 C4 = "4 4\n0 1\n1 2\n2 3\n0 3\n"
 C4_COLORING = '{"t": 2, "edges": [[0, 1, 1], [0, 3, 2], [1, 2, 2], [2, 3, 1]]}'
+
+# every subcommand, in the order top-level help lists them
+COMMANDS = ["gen", "recognize", "color", "width", "verify", "fan", "demo-axenovich", "export-dot"]
 
 
 def run(argv, capsys, monkeypatch=None, stdin_text=None):
@@ -54,6 +58,104 @@ def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, usage, message",
+    [
+        (["gen", "--family", "cycle"], "usage: outercolor gen [-h] --family ",
+         "outercolor gen: error: --n is required for this invocation"),
+        (["width", "--budget-ms", "-5"], "usage: outercolor width [-h] ",
+         "outercolor width: error: --budget-ms must be >= 0, got -5"),
+        (["color", "--t", "3"], "usage: outercolor color [-h] ",
+         "outercolor color: error: --t needs --method exact"),
+        (["fan", "--n", "2", "--format", "dot"], "usage: outercolor fan [-h] ",
+         "outercolor fan: error: fan needs n >= 3, got 2"),
+        (["demo-axenovich"], "usage: outercolor demo-axenovich [-h] ",
+         "outercolor demo-axenovich: error: --n is required for this invocation"),
+    ],
+    ids=["gen", "width", "color", "fan", "demo-axenovich"],
+)
+def test_handler_usage_error_shows_its_command(argv, usage, message, capsys):
+    # an error a handler raises names its own command and flags, as the
+    # errors argparse raises for that command do
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(usage)
+    assert captured.err.endswith(f"\n{message}\n")
+
+
+def _parser_corpus(name):
+    """argv lists for one command: help, each flag, and each kind of
+    usage error that argparse itself raises."""
+    _, _, arguments = outercolor.cli._COMMANDS[name]
+    required = [
+        part for flag, options in arguments if options.get("required")
+        for part in (flag, options["choices"][0])
+    ]
+    corpus = [[name], [name, "-h"], [name, *required], [name, *required, "--bogus"],
+              [name, *required, "extra"]]
+    for flag, options in arguments:
+        if options.get("action") == "store_true":
+            corpus.append([name, *required, flag])
+            continue
+        value = options["choices"][-1] if "choices" in options else "3"
+        corpus += [[name, *required, flag, value], [name, *required, flag]]
+        if "choices" in options:
+            corpus.append([name, *required, flag, "nope"])
+        if options.get("type") is int:
+            corpus += [[name, *required, flag, "x"], [name, *required, flag, "-4"]]
+    return corpus
+
+
+def _parse(parser, argv, capsys):
+    try:
+        result = parser.parse_args(argv)
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_one_command_parser_matches_the_full_parser(name, capsys):
+    # both parsers are built in this interpreter, so the argparse help
+    # and error texts of any Python version are compared with themselves
+    one, subparsers = outercolor.cli.build_parser(name)
+    assert list(subparsers) == [name]
+    full, subparsers = outercolor.cli.build_parser()
+    assert list(subparsers) == COMMANDS
+    for argv in _parser_corpus(name):
+        expected = _parse(full, argv, capsys)
+        assert _parse(one, argv, capsys) == expected, argv
+        if not isinstance(expected[0], argparse.Namespace):
+            assert expected[0] in (0, 2), argv
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [([name, "-h"], 2) for name in COMMANDS]
+    + [(["gen", "--family", "cycle", "--n", "4"], 2), (["-h"], 9), ([], 9), (["frobnicate"], 9)],
+)
+def test_main_builds_only_its_commands_parser(argv, built, capsys, monkeypatch):
+    # a known command builds the top-level parser and its own subparser;
+    # top-level help and its errors list every command, so they build all
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    try:
+        main(argv)
+    except SystemExit:
+        pass
+    assert len(made) == built
 
 
 def test_recognize_accepts_cycle(capsys, monkeypatch):
@@ -374,13 +476,13 @@ def test_demo_reports_triangle_count(capsys):
     "argv, builds",
     [
         (["fan", "--n", "64"], 1),
-        (["fan", "--n", "64", "--format", "dot"], 2),
+        (["fan", "--n", "64", "--format", "dot"], 1),
         (["demo-axenovich", "--n", "64"], 1),
     ],
 )
 def test_fan_graph_built_once_per_call(argv, builds, capsys, monkeypatch):
-    # the coloring is validated against one fan graph; only DOT output,
-    # which needs the graph itself after the coloring, builds a second
+    # the coloring is validated against one fan graph, which DOT output
+    # then draws
     load_base_table()  # its one-time derivation builds small fans
     calls = []
     for module in (outercolor.fan, outercolor.cli):
