@@ -8,18 +8,21 @@ Commands read the edge-list format (or coloring JSON where noted) from
 Exit codes: 0 success, 1 for negative-but-valid verdicts (rejection,
 not colorable, violation, inconclusive), 2 for usage errors, 3 for an
 internal error (a failed internal check, or memory ran out), reported as
-one `internal-error` verdict line. A call builds only its own command's
-parser; top-level help and top-level usage errors build every command's.
+one `internal-error` verdict line. A well-formed call is read straight
+off the command table and builds no parser, nor imports argparse. Help
+and usage errors build the parser: a command's own for its help and its
+errors, every command's for top-level help and top-level usage errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import importlib
 import json
 import sys
 import time
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, NoReturn
 
 from .coloring import (
     ColoringError,
@@ -41,6 +44,12 @@ from .graphs import (
     write_dot,
     write_edge_list,
 )
+
+if TYPE_CHECKING:
+    import argparse
+
+    # a command line as read by `_read_argv` or by argparse
+    Args = SimpleNamespace | argparse.Namespace
 
 # A process loads the recognizer, the solver, the peel and the fan colorer
 # only when its command calls them, so `gen` and `verify` never import
@@ -127,32 +136,37 @@ def _coloring_output(g: Graph, col: EdgeColoring, fmt: str) -> str:
     return coloring_to_json(col)
 
 
-def _cmd_gen(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_gen(args: Args) -> int:
     try:
         if args.family == "cycle":
-            g = gen_cycle(_need(parser, args, "n"))
+            g = gen_cycle(_need(args, "n"))
         elif args.family == "tf":
-            g, _ = gen_triangular_fan(_need(parser, args, "n"))
+            g, _ = gen_triangular_fan(_need(args, "n"))
         elif args.family == "tklm":
-            g, _ = gen_triangle_graph(
-                _need(parser, args, "k"), _need(parser, args, "l"), _need(parser, args, "m")
-            )
+            g, _ = gen_triangle_graph(_need(args, "k"), _need(args, "l"), _need(args, "m"))
         else:
-            g = gen_random_outerplanar_subcubic(_need(parser, args, "n"), args.seed)
+            g = gen_random_outerplanar_subcubic(_need(args, "n"), args.seed)
     except (ValueError, GraphError) as exc:
-        parser.error(str(exc))
+        _usage_error(args, str(exc))
     _emit(write_edge_list(g), args.out)
     return 0
 
 
-def _need(parser: argparse.ArgumentParser, args: argparse.Namespace, name: str) -> int:
+def _usage_error(args: Args, message: str) -> NoReturn:
+    """Exit as argparse does on a usage error, with the usage of the
+    command being run; its parser is built only now."""
+    _, subparsers = build_parser(args.command)
+    subparsers[args.command].error(message)
+
+
+def _need(args: Args, name: str) -> int:
     value = getattr(args, name)
     if value is None:
-        parser.error(f"--{name} is required for this invocation")
+        _usage_error(args, f"--{name} is required for this invocation")
     return value
 
 
-def _cmd_recognize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_recognize(args: Args) -> int:
     g = _load_graph(args.graph_in)
     _load("outerplanar")
     result = recognize_outerplanar_2connected(g)
@@ -172,15 +186,15 @@ def _cmd_recognize(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     return 1
 
 
-def _cmd_color(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_color(args: Args) -> int:
     if args.method == "construct":
         for flag, value in (("--t", args.t), ("--budget-ms", args.budget_ms)):
             if value is not None:
-                parser.error(f"{flag} needs --method exact")
+                _usage_error(args, f"{flag} needs --method exact")
     elif args.trace:
-        parser.error("--trace needs --method construct")
+        _usage_error(args, "--trace needs --method construct")
     else:
-        _check_budget(parser, args)
+        _check_budget(args)
     g = _load_graph(args.graph_in)
     _load("subcubic" if args.method == "construct" else "solver")
     if args.method == "construct":
@@ -222,12 +236,12 @@ def _cmd_color(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return 0
 
 
-def _check_budget(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+def _check_budget(args: Args) -> None:
     if args.budget_ms is not None and args.budget_ms < 0:
-        parser.error(f"--budget-ms must be >= 0, got {args.budget_ms}")
+        _usage_error(args, f"--budget-ms must be >= 0, got {args.budget_ms}")
 
 
-def _run_width(g: Graph, args: argparse.Namespace) -> Colored | None:
+def _run_width(g: Graph, args: Args) -> Colored | None:
     """`width` on g, shared by `width` and `color --method exact`: a
     negative outcome is emitted as its verdict and comes back as None."""
     outcome = width(g, budget_ms=args.budget_ms)
@@ -247,8 +261,8 @@ def _emit_negative(outcome: NotColorable | Inconclusive, out: str | None) -> int
     return 1
 
 
-def _cmd_width(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    _check_budget(parser, args)
+def _cmd_width(args: Args) -> int:
+    _check_budget(args)
     g = _load_graph(args.graph_in)
     _load("solver")
     outcome = _run_width(g, args)
@@ -267,7 +281,7 @@ def _cmd_width(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_verify(args: Args) -> int:
     try:
         col = coloring_from_json(_read_text(args.graph_in))
         g = graph_of_coloring(col)
@@ -293,8 +307,8 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     return 1
 
 
-def _cmd_fan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    n = _need(parser, args, "n")
+def _cmd_fan(args: Args) -> int:
+    n = _need(args, "n")
     _load("fan")
     # DOT draws the graph that the coloring is validated against, so it is
     # built once here; n < 3 is left to color_fan's error
@@ -302,7 +316,7 @@ def _cmd_fan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     try:
         col = color_fan(n, g)
     except ValueError as exc:
-        parser.error(str(exc))
+        _usage_error(args, str(exc))
     if g is not None:
         _emit(write_dot(g, col.assignment), args.out)
     else:
@@ -310,13 +324,13 @@ def _cmd_fan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _cmd_demo(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    n = _need(parser, args, "n")
+def _cmd_demo(args: Args) -> int:
+    n = _need(args, "n")
     _load("fan")
     try:
         report = separating_triangle_demo(n)
     except ValueError as exc:
-        parser.error(str(exc))
+        _usage_error(args, str(exc))
     _emit(
         _verdict(
             {
@@ -332,7 +346,7 @@ def _cmd_demo(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _cmd_export_dot(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_export_dot(args: Args) -> int:
     text = _read_text(args.graph_in)
     if text.lstrip().startswith("{"):
         col = coloring_from_json(text)
@@ -382,6 +396,8 @@ def build_parser(
     gets only its own subparser, with the full command list as metavar,
     so the top-level usage in its errors reads as the full tree's.
     Anything else (`-h`, no command, an unknown name) gets every one."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="outercolor",
         description="interval edge-colorings of 2-connected outerplanar graphs",
@@ -399,6 +415,51 @@ def build_parser(
     return parser, subs.choices
 
 
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The command line read straight off `_COMMANDS` when it is one that
+    argparse would accept as it stands: the exact command name, exact
+    long flags, each at most once, and a value after each flag that takes
+    one, checked with the flag's own `type` and `choices`. The namespace
+    has the same attributes, `command` and `func` included, as argparse's.
+
+    Anything else is None, and argparse parses it: help, abbreviations,
+    `--flag=value`, a value that begins with `-` (a negative number, or
+    a flag given where a value should be), a repeated flag, an extra
+    token, a bad value or a missing required flag.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, arguments = _COMMANDS[argv[0]]
+    specs = dict(arguments)
+    given: dict[str, object] = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        options = specs.get(flag)
+        if options is None or flag in given:
+            return None
+        if options.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        if "type" in options:
+            try:
+                value = options["type"](value)
+            except ValueError:
+                return None
+        if "choices" in options and value not in options["choices"]:
+            return None
+        given[flag] = value
+    args = SimpleNamespace(command=argv[0], func=func)
+    for flag, options in arguments:
+        if flag not in given and options.get("required"):
+            return None
+        default = False if options.get("action") == "store_true" else options.get("default")
+        setattr(args, options.get("dest", flag[2:].replace("-", "_")), given.get(flag, default))
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     # one call allocates many short-lived edge tuples, whose allocation
     # count sets off cyclic collections that find almost nothing; the
@@ -407,11 +468,12 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         argv = sys.argv[1:] if argv is None else argv
-        parser, subparsers = build_parser(argv[0] if argv else None)
-        args = parser.parse_args(argv)
+        args = _read_argv(argv)
+        if args is None:
+            parser, _ = build_parser(argv[0] if argv else None)
+            args = parser.parse_args(argv)
         try:
-            # a handler's usage errors show its own command's usage
-            return args.func(args, subparsers[args.command])
+            return args.func(args)
         except (GraphError, ColoringError) as exc:
             _emit(_verdict({"verdict": "error", "detail": str(exc)}), getattr(args, "out", None))
             return 1

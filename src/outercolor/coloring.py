@@ -192,7 +192,9 @@ def coloring_to_json(coloring: EdgeColoring) -> str:
 def coloring_from_json(text: str) -> EdgeColoring:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError is a ValueError, as is an integer past Python's
+        # digit limit; RecursionError is nesting deeper than the decoder goes
         raise ColoringError(f"invalid coloring JSON: {exc}") from None
     if not isinstance(data, dict) or "t" not in data or not isinstance(data.get("edges"), list):
         raise ColoringError('coloring JSON must be {"t": ..., "edges": [...]}')

@@ -43,7 +43,6 @@ from typing import NamedTuple
 from .coloring import EdgeColoring, Violation, check_interval_coloring
 from .graphs import Edge, Graph, make_graph, neighbor_sets, norm_edge
 from .outerplanar import OuterEmbedding, Rejection, recognize_outerplanar_2connected
-from .solver import find_interval_coloring
 
 
 class ColoringPreconditionError(ValueError):
@@ -258,8 +257,20 @@ def _color_even_cycle(peel: _Peel) -> None:
     _alternate(peel, start, min(peel.adj[start]), start)
 
 
+def __getattr__(name: str):
+    # PEP 562: the exact solver is loaded on first use, and bound here as a
+    # global that a tracer or a test may replace. Only BaseSmall calls it,
+    # and no graph the CLI colors ends there, so `color` never loads it.
+    if name != "find_interval_coloring":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .solver import find_interval_coloring
+
+    return globals().setdefault(name, find_interval_coloring)
+
+
 def _color_small(peel: _Peel) -> None:
     # the exact solver on the remaining graph with its ids compressed
+    find_interval_coloring = __getattr__("find_interval_coloring")
     verts = peel.live_vertices()
     index = {v: i for i, v in enumerate(verts)}
     sub = make_graph(

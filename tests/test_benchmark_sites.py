@@ -11,7 +11,7 @@ import importlib.util
 from pathlib import Path
 
 from outercolor import cli
-from outercolor.graphs import gen_random_outerplanar_subcubic
+from outercolor.graphs import gen_random_outerplanar_subcubic, make_graph
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -43,3 +43,22 @@ def test_tracer_records_the_peel_steps():
     assert col.t == 4
     assert tracer.steps == [(s.case, s.depth) for s in steps]
     assert {name for name, *_ in tracer.spans} >= {"subcubic.le4", "subcubic.peel"}
+
+
+def test_tracer_times_the_base_small_search():
+    # subcubic loads the solver only when BaseSmall needs it; the tracer's
+    # wrapper on `subcubic.find_interval_coloring` is what that case calls
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    diamond = make_graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+    tracer.install()
+    try:
+        col, steps = cli.color_subcubic_le4_traced(diamond)
+    finally:
+        tracer.remove()
+    assert [s.case for s in steps] == ["BaseSmall"]
+    assert col.t == 3
+    names = [name for name, *_ in tracer.spans]
+    peel = names.index("subcubic.peel")
+    search = names.index("solver.search")
+    assert tracer.spans[search][3] == peel

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import gc
 import io
 import json
@@ -9,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import outercolor
 import outercolor.cli
@@ -123,7 +126,9 @@ def _parse(parser, argv, capsys):
 @pytest.mark.parametrize("name", COMMANDS)
 def test_one_command_parser_matches_the_full_parser(name, capsys):
     # both parsers are built in this interpreter, so the argparse help
-    # and error texts of any Python version are compared with themselves
+    # and error texts of any Python version are compared with themselves;
+    # the table reader, the third parser, gives argparse's namespace or
+    # leaves the line to argparse, and it takes the plain call itself
     one, subparsers = outercolor.cli.build_parser(name)
     assert list(subparsers) == [name]
     full, subparsers = outercolor.cli.build_parser()
@@ -131,18 +136,79 @@ def test_one_command_parser_matches_the_full_parser(name, capsys):
     for argv in _parser_corpus(name):
         expected = _parse(full, argv, capsys)
         assert _parse(one, argv, capsys) == expected, argv
-        if not isinstance(expected[0], argparse.Namespace):
+        read = outercolor.cli._read_argv(argv)
+        if isinstance(expected[0], argparse.Namespace):
+            assert read is None or vars(read) == vars(expected[0]), argv
+        else:
             assert expected[0] in (0, 2), argv
+            assert read is None, argv
+    assert outercolor.cli._read_argv(_parser_corpus(name)[2]) is not None
+
+
+# values drawn after a flag or on their own: argparse's int() takes the
+# signed, padded and non-ASCII digits, and it reads "-4" as a value
+READER_VALUES = ["3", "-4", "+5", " 5", "x", "\u0663", ""]
+
+
+@st.composite
+def _reader_argv(draw, name):
+    """argv for one command: its flags with values of their kind, good
+    and bad, each at most once, and among them up to two pieces that
+    argparse reads in its own way (help, `--`, abbreviations,
+    `--flag=value`, a flag without its value or given twice, an unknown
+    flag, an extra positional)."""
+    _, _, arguments = outercolor.cli._COMMANDS[name]
+    good, odd = [], [["-h"], ["--help"], ["--"], ["--bogus"], ["extra"], ["3"]]
+    for flag, options in arguments:
+        if options.get("action") == "store_true":
+            good.append([flag])
+            continue
+        values = [*options["choices"], "nope", "3"] if "choices" in options else READER_VALUES
+        good += [[flag, value] for value in values]
+        odd += [[flag], [f"{flag}={values[0]}"], [flag, values[0]]]
+        if len(flag) > 3:
+            odd.append([flag[:-1]])  # an abbreviation
+    drawn = draw(st.lists(st.sampled_from(good), max_size=5, unique_by=lambda piece: piece[0]))
+    for piece in draw(st.lists(st.sampled_from(odd), max_size=2)):
+        drawn.insert(draw(st.integers(0, len(drawn))), piece)
+    return [name, *(token for piece in drawn for token in piece)]
+
+
+def _argparse_or_none(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        try:
+            return outercolor.cli.build_parser(argv[0])[0].parse_args(argv)
+        except SystemExit:
+            return None
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_table_reader_matches_argparse(name):
+    # whatever argparse exits on, the reader leaves to it; whatever the
+    # reader takes, argparse reads to the same attributes
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_reader_argv(name))
+    def check(argv):
+        read = outercolor.cli._read_argv(argv)
+        if read is None:
+            return
+        expected = _argparse_or_none(argv)
+        assert expected is not None, argv
+        assert vars(read) == vars(expected), argv
+
+    check()
 
 
 @pytest.mark.parametrize(
     "argv, built",
     [([name, "-h"], 2) for name in COMMANDS]
-    + [(["gen", "--family", "cycle", "--n", "4"], 2), (["-h"], 9), ([], 9), (["frobnicate"], 9)],
+    + [(["gen", "--family", "cycle", "--n", "4"], 0), (["-h"], 9), ([], 9), (["frobnicate"], 9)],
 )
 def test_main_builds_only_its_commands_parser(argv, built, capsys, monkeypatch):
-    # a known command builds the top-level parser and its own subparser;
-    # top-level help and its errors list every command, so they build all
+    # a well-formed call builds no parser; a command's help builds the
+    # top-level parser and its own subparser; top-level help and its
+    # errors list every command, so they build all
     made = []
     init = argparse.ArgumentParser.__init__
 
@@ -429,6 +495,27 @@ def test_non_list_edges_is_one_line_error(command, edges, capsys, monkeypatch):
     }
 
 
+@pytest.mark.parametrize("command", ["verify", "export-dot"])
+@pytest.mark.parametrize(
+    "doc, reason",
+    [
+        ('{"t": 1, "edges": ' + "[" * 200_000, "recursion"),
+        ('{"t": ' + "9" * 5000 + ', "edges": []}', "4300"),
+    ],
+    ids=["nested-past-recursion-limit", "int-past-digit-limit"],
+)
+def test_undecodable_coloring_json_is_one_line_error(command, doc, reason, capsys, monkeypatch):
+    # input the JSON decoder gives up on gets the verdict a syntax error gets
+    code, out, err = run([command], capsys, monkeypatch, stdin_text=doc)
+    assert code == 1
+    assert err == ""
+    verdict = json.loads(out)
+    assert verdict["verdict"] == "error"
+    assert verdict["detail"].startswith("invalid coloring JSON: ")
+    assert reason in verdict["detail"]
+    assert out.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "doc, detail",
     [
@@ -704,29 +791,33 @@ atexit.register(_dump)
 
 
 @pytest.mark.parametrize(
-    "argv, stdin_text, loads",
+    "argv, stdin_text, loads, code",
     [
-        (["gen", "--family", "cycle", "--n", "4"], "", set()),
-        (["verify"], C4_COLORING, set()),
-        (["export-dot"], C4, set()),
-        (["export-dot"], C4_COLORING, set()),
-        (["recognize"], C4, {"outerplanar"}),
-        (["width"], C4, {"solver"}),
-        (["color", "--method", "exact"], C4, {"solver"}),
-        (["color", "--method", "exact", "--t", "2"], C4, {"solver"}),
-        (["color"], C4, {"outerplanar", "solver", "subcubic"}),
-        (["fan", "--n", "5"], "", {"outerplanar", "solver", "fan"}),
-        (["demo-axenovich", "--n", "5"], "", {"outerplanar", "solver", "fan"}),
+        (["gen", "--family", "cycle", "--n", "4"], "", set(), 0),
+        (["verify"], C4_COLORING, set(), 0),
+        (["export-dot"], C4, set(), 0),
+        (["export-dot"], C4_COLORING, set(), 0),
+        (["recognize"], C4, {"outerplanar"}, 0),
+        (["width"], C4, {"solver"}, 0),
+        (["color", "--method", "exact"], C4, {"solver"}, 0),
+        (["color", "--method", "exact", "--t", "2"], C4, {"solver"}, 0),
+        (["color"], C4, {"outerplanar", "subcubic"}, 0),
+        (["fan", "--n", "5"], "", {"outerplanar", "solver", "fan"}, 0),
+        (["demo-axenovich", "--n", "5"], "", {"outerplanar", "solver", "fan"}, 0),
+        (["color", "-h"], "", set(), 0),
+        (["gen", "--family", "cycle"], "", set(), 2),
     ],
     ids=["gen", "verify", "export-dot-graph", "export-dot-coloring", "recognize", "width",
-         "color-exact", "color-exact-t", "color", "fan", "demo-axenovich"],
+         "color-exact", "color-exact-t", "color", "fan", "demo-axenovich", "color-help",
+         "gen-usage-error"],
 )
-def test_each_command_loads_only_its_modules(argv, stdin_text, loads, tmp_path):
+def test_each_command_loads_only_its_modules(argv, stdin_text, loads, code, tmp_path):
     # a process pays start-up only for what its command runs: beyond
     # graphs and coloring, which every command needs, it loads exactly
-    # `loads`, and never `dataclasses`. The command runs as `python -m
-    # outercolor.cli`, so the cli code runs as __main__ and must never be
-    # imported a second time as `outercolor.cli`.
+    # `loads`, and never `dataclasses`. argparse is loaded only for help
+    # and usage errors; a well-formed call is read without it. The
+    # command runs as `python -m outercolor.cli`, so the cli code runs as
+    # __main__ and must never be imported a second time as `outercolor.cli`.
     out = tmp_path / "modules.json"
     (tmp_path / "sitecustomize.py").write_text(MODULES_AT_EXIT.format(out=str(out)))
     proc = subprocess.run(
@@ -734,8 +825,9 @@ def test_each_command_loads_only_its_modules(argv, stdin_text, loads, tmp_path):
         input=stdin_text, capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), SRC])),
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     loaded = set(json.loads(out.read_text()))
     program = {name for name in loaded if name.startswith("outercolor.")}
     assert program == {f"outercolor.{name}" for name in {"coloring", "graphs"} | loads}
     assert "dataclasses" not in loaded
+    assert ("argparse" in loaded) == ("-h" in argv or code == 2)
