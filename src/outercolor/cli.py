@@ -6,9 +6,11 @@ Commands read the edge-list format (or coloring JSON where noted) from
     outercolor gen --family random --n 9 --seed 4 | outercolor color | outercolor verify
 
 Exit codes: 0 success, 1 for negative-but-valid verdicts (rejection,
-not colorable, violation, inconclusive), 2 for usage errors, 3 for an
-internal error (a failed internal check, or memory ran out), reported as
-one `internal-error` verdict line. A well-formed call is read straight
+not colorable, violation, inconclusive), 2 for usage errors and for a
+file that cannot be opened, read or written, 3 for an internal error (a
+failed internal check, or memory ran out), reported as one
+`internal-error` verdict line. A reader that closes the pipe early ends
+the command quietly with exit 0. A well-formed call is read straight
 off the command table and builds no parser, nor imports argparse. Help
 and usage errors build the parser: a command's own for its help and its
 errors, every command's for top-level help and top-level usage errors.
@@ -19,6 +21,7 @@ from __future__ import annotations
 import gc
 import importlib
 import json
+import os
 import sys
 import time
 from types import SimpleNamespace
@@ -63,8 +66,6 @@ _LAZY = {
         "ExhaustedAllT",
         "Inconclusive",
         "NotColorable",
-        "OddCycleCertificate",
-        "ParityCertificate",
         "find_interval_coloring",
         "width",
     ),
@@ -98,18 +99,26 @@ def __getattr__(name: str):
 
 
 def _read_text(path: str | None) -> str:
-    if path is None:
-        return sys.stdin.read()
-    with open(path) as f:
-        return f.read()
+    try:
+        if path is None:
+            return sys.stdin.read()
+        with open(path) as f:
+            return f.read()
+    except OSError as exc:
+        exc.filename = "<stdin>" if path is None else path
+        raise
 
 
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as f:
             f.write(text)
+    except OSError as exc:
+        exc.filename = path  # a failed write names no file
+        raise
 
 
 def _verdict(obj: dict) -> str:
@@ -121,13 +130,12 @@ def _load_graph(path: str | None) -> Graph:
 
 
 def _certificate_json(cert) -> dict:
-    if isinstance(cert, OddCycleCertificate):
-        return {"kind": "odd-cycle", "n": cert.n}
     if isinstance(cert, ExhaustedAllT):
         return {"kind": "exhausted-all-t", "t_max": cert.t_max, "reason": cert.reason}
-    if isinstance(cert, ParityCertificate):
-        return {"kind": "parity", "k": cert.k, "l": cert.l, "m": cert.m}
-    raise AssertionError(f"unknown certificate {cert!r}")
+    if cert.klm is None:
+        return {"kind": "parity", "n": cert.n, "edges": cert.edges}
+    k, l, m = cert.klm
+    return {"kind": "parity", "k": k, "l": l, "m": m}
 
 
 def _coloring_output(g: Graph, col: EdgeColoring, fmt: str) -> str:
@@ -473,17 +481,32 @@ def main(argv: list[str] | None = None) -> int:
             parser, _ = build_parser(argv[0] if argv else None)
             args = parser.parse_args(argv)
         try:
-            return args.func(args)
+            code = args.func(args)
         except (GraphError, ColoringError) as exc:
             _emit(_verdict({"verdict": "error", "detail": str(exc)}), getattr(args, "out", None))
-            return 1
+            code = 1
         except (AssertionError, MemoryError) as exc:
             # a failed internal check, or memory ran out: a verdict, not a
             # traceback, with its own exit code
             detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
             _emit(_verdict({"verdict": "internal-error", "detail": detail}),
                   getattr(args, "out", None))
-            return 3
+            code = 3
+        sys.stdout.flush()  # a failed write shows here, not at exit
+        return code
+    except OSError as exc:
+        # a file that cannot be opened, read or written: one line and exit
+        # 2, as argparse gives for an unopenable file argument
+        if exc.filename is None:  # stdout, the one stream left unnamed
+            # what the failed write left buffered would fail again at exit
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            if isinstance(exc, BrokenPipeError):
+                return 0  # the reader has all it wanted
+            exc.filename = "<stdout>"
+        print(f"outercolor: error: {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     finally:
         if gc_was_enabled:
             gc.enable()

@@ -2,14 +2,13 @@
 
 The backtracking solver is the package's ground truth: every construction
 elsewhere is cross-checked against it on small instances. `width` certifies
-non-colorability in one of three ways. `precheck` settles odd cycles by the
-chromatic-index fact, and the triangle-with-even-paths family T_{k,l,m},
-under any labelling, by a parity certificate (`parity_obstruction`) that
-`replay_parity_certificate` re-checks before it is returned; both take
-linear time. Any other graph gets a full exhaustion up to a sound upper
-bound on t (a t may be settled by the forced-color prune in place of a
-search). `find_interval_coloring` itself runs no precheck: it is a pure
-search at one t.
+non-colorability in one of two ways. `precheck` refuses, in linear time,
+every graph whose degrees are all even and whose edge count is odd, by a
+parity count that covers odd cycles and the triangle-with-even-paths
+family T_{k,l,m} alike. Any other graph gets a full exhaustion up to a
+sound upper bound on t (a t may be settled by the forced-color prune in
+place of a search). `find_interval_coloring` itself runs no precheck: it
+is a pure search at one t.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from collections import deque
 from typing import NamedTuple
 
 from .coloring import EdgeColoring
-from .graphs import Edge, Graph, GraphError, gen_triangle_graph, is_connected, norm_edge
+from .graphs import Edge, Graph, GraphError, is_connected, norm_edge
 
 
 # ---------------------------------------------------------------------------
@@ -45,61 +44,18 @@ class ExhaustedAllT(NamedTuple):
     reason: str
 
 
-class OddCycleCertificate(NamedTuple):
-    """Odd cycles need 3 proper colors but have max degree 2, so no
-    interval coloring exists regardless of t."""
+class ParityCertificate(NamedTuple):
+    """Every degree of g is even and its edge count is odd, which no
+    interval-colorable graph allows (see `precheck`). klm is (k, l, m),
+    ascending, when g is T_{k,l,m}, and None otherwise."""
 
     n: int
-
-
-class ParityStep(NamedTuple):
-    """One forced deduction about edge color parities.
-
-    kind "assume": the case hypothesis fixing `edges` to `parity`.
-    kind "balance": at degree-4 vertex `at`, the two `using` edges share a
-      known parity, and an interval of four consecutive colors holds
-      exactly two of each parity, so the remaining two edges `edges` take
-      the opposite one.
-    kind "propagate": `path` is an even-length path of degree-2 interior
-      vertices; each interior palette is {c, c+1}, one color of each
-      parity, so the parity flips per interior vertex; an odd number of
-      flips forces the last edge to `parity`, opposite the first edge.
-    """
-
-    kind: str
-    parity: int
-    edges: tuple[Edge, ...]
-    at: int | None = None
-    using: tuple[Edge, ...] = ()
-    path: tuple[int, ...] = ()
-
-
-class ParityCase(NamedTuple):
-    assumed_parity: int
-    steps: tuple[ParityStep, ...]
-    conflict_edge: Edge
-
-
-class ParityCertificate(NamedTuple):
-    """Proof that the triangle-with-even-paths graph is not colorable.
-
-    In any hypothetical interval coloring, two of the three triangle
-    edges share a parity (pigeonhole) and meet at some triangle vertex.
-    The certificate replays the forced-parity chain from x; the chain uses
-    nothing about the three path lengths beyond their evenness, and the
-    chain from y or z is the chain from x of T on a permutation of
-    (k, l, m), so it covers whichever vertex the pigeonhole picks. Both
-    parity cases end in the recorded contradiction.
-    """
-
-    k: int
-    l: int
-    m: int
-    cases: tuple[ParityCase, ParityCase]
+    edges: int
+    klm: tuple[int, int, int] | None
 
 
 class NotColorable(NamedTuple):
-    certificate: ExhaustedAllT | OddCycleCertificate | ParityCertificate
+    certificate: ExhaustedAllT | ParityCertificate
 
 
 class Inconclusive(NamedTuple):
@@ -129,27 +85,20 @@ def _require_connected(g: Graph) -> None:
 def precheck(g: Graph) -> NotColorable | None:
     """Linear-time non-colorability screen, run before any search.
 
-    Raises GraphError unless g is nonempty and connected. Then:
+    Raises GraphError unless g is nonempty and connected. Returns a
+    `ParityCertificate` when every degree is even and g.m is odd, and None
+    otherwise, so the caller must search. Lemma: such a g has no interval
+    coloring. In one, a vertex of even degree d sees d consecutive colors,
+    exactly d/2 of them odd. Counting the edge ends that carry an odd
+    color gives 2 * |odd-colored edges| = sum of d(v)/2 = m, so m is even.
 
-    - odd cycles: an interval-colorable graph has chromatic index equal to
-      its max degree, and an odd cycle needs 3 colors at max degree 2;
-    - T_{k,l,m} under any labelling (`triangle_paths_params`): returns the
-      parity certificate of `parity_obstruction`, after
-      `replay_parity_certificate` has re-checked it. A failed replay is a
-      bug in this module and raises AssertionError.
-
-    Returns None when neither applies, so the caller must search.
+    Odd cycles and T_{k,l,m} are both such graphs; the certificate names
+    T_{k,l,m} by `triangle_paths_params`.
     """
     _require_connected(g)
-    if g.n % 2 == 1 and g.m == g.n and all(g.degree(v) == 2 for v in range(g.n)):
-        return NotColorable(OddCycleCertificate(g.n))
-    klm = triangle_paths_params(g)
-    if klm is not None:
-        cert = parity_obstruction(*klm)
-        if not replay_parity_certificate(cert):
-            raise AssertionError(f"the parity certificate for (k, l, m) = {klm} failed its replay")
-        return NotColorable(cert)
-    return None
+    if g.m % 2 == 0 or any(g.degree(v) % 2 for v in range(g.n)):
+        return None
+    return NotColorable(ParityCertificate(g.n, g.m, triangle_paths_params(g)))
 
 
 def triangle_paths_params(g: Graph) -> tuple[int, int, int] | None:
@@ -193,6 +142,16 @@ def triangle_paths_params(g: Graph) -> tuple[int, int, int] | None:
         return None
     k, l, m = sorted(half.values())
     return k, l, m
+
+
+def _path_between(g: Graph, start_edge_end: int, first: int) -> list[int]:
+    # walk from triangle vertex start through degree-2 vertices to the
+    # far triangle vertex; returns the full vertex sequence
+    walk = [start_edge_end, first]
+    while g.degree(walk[-1]) == 2:
+        a, b = g.neighbors(walk[-1])
+        walk.append(a if a != walk[-2] else b)
+    return walk
 
 
 def has_triangle(g: Graph) -> bool:
@@ -389,11 +348,11 @@ def find_interval_coloring(
 def width(g: Graph, budget_ms: int | None = None) -> ColoringOutcome:
     """Exact minimum number of colors, scanning every t up to the bound.
 
-    `precheck` answers odd cycles and T_{k,l,m} first, with no search and
-    whatever the budget. Otherwise colorability is not monotone in t, so a
-    miss at one t proves nothing about larger t; NotColorable therefore
-    requires exhausting the whole range. A budget overrun yields
-    Inconclusive naming the t in progress.
+    `precheck` refuses every graph with all degrees even and m odd first,
+    with no search and whatever the budget. Otherwise colorability is not
+    monotone in t, so a miss at one t proves nothing about larger t;
+    NotColorable therefore requires exhausting the whole range. A budget
+    overrun yields Inconclusive naming the t in progress.
     """
     bad = precheck(g)
     if bad is not None:
@@ -412,139 +371,3 @@ def width(g: Graph, budget_ms: int | None = None) -> ColoringOutcome:
         if found is not None:
             return Colored(t, found)
     return NotColorable(ExhaustedAllT(t_max=bound, reason=reason))
-
-
-# ---------------------------------------------------------------------------
-# Parity certificate for the triangle-with-even-paths family
-# ---------------------------------------------------------------------------
-
-def _path_between(g: Graph, start_edge_end: int, first: int) -> list[int]:
-    # walk from triangle vertex start through degree-2 vertices to the
-    # far triangle vertex; returns the full vertex sequence
-    walk = [start_edge_end, first]
-    while g.degree(walk[-1]) == 2:
-        a, b = g.neighbors(walk[-1])
-        walk.append(a if a != walk[-2] else b)
-    return walk
-
-
-def _build_case(g: Graph, a: int, b: int, c: int, p: int) -> ParityCase:
-    """Forced-parity chain assuming the triangle edges at vertex a both
-    have parity p. a, b, c are the triangle vertex ids."""
-    ab, ac, bc = norm_edge(a, b), norm_edge(a, c), norm_edge(b, c)
-
-    def path_from(src: int, dst: int) -> list[int]:
-        first = next(
-            w for w in g.neighbors(src)
-            if g.degree(w) == 2 and _path_between(g, src, w)[-1] == dst
-        )
-        return _path_between(g, src, first)
-
-    p_ab = path_from(a, b)
-    p_ac = path_from(a, c)
-    p_bc = path_from(b, c)
-
-    def path_edges(walk: list[int]) -> list[Edge]:
-        return [norm_edge(x, y) for x, y in zip(walk, walk[1:])]
-
-    q = 1 - p
-    steps = [
-        ParityStep("assume", p, (ab, ac)),
-        ParityStep("balance", q, (path_edges(p_ab)[0], path_edges(p_ac)[0]),
-                   at=a, using=(ab, ac)),
-        ParityStep("propagate", p, (path_edges(p_ab)[-1],), path=tuple(p_ab)),
-        ParityStep("propagate", p, (path_edges(p_ac)[-1],), path=tuple(p_ac)),
-        ParityStep("balance", q, (bc, path_edges(p_bc)[0]),
-                   at=b, using=(ab, path_edges(p_ab)[-1])),
-        ParityStep("propagate", p, (path_edges(p_bc)[-1],), path=tuple(p_bc)),
-        ParityStep("balance", q, (bc, path_edges(p_bc)[-1]),
-                   at=c, using=(ac, path_edges(p_ac)[-1])),
-    ]
-    return ParityCase(p, tuple(steps), conflict_edge=path_edges(p_bc)[-1])
-
-
-def parity_obstruction(k: int, l: int, m: int) -> ParityCertificate:
-    """Certificate that the triangle graph admits no interval coloring,
-    with the chain anchored at the triangle corner x."""
-    g, _ = gen_triangle_graph(k, l, m)
-    x, y, z = 0, 1, 2  # the triangle's ids in gen_triangle_graph
-    cases = (_build_case(g, x, y, z, 0), _build_case(g, x, y, z, 1))
-    return ParityCertificate(k, l, m, cases)
-
-
-def replay_parity_certificate(cert: ParityCertificate) -> bool:
-    """Mechanically re-check every deduction in the certificate.
-
-    Rebuilds the graph, then walks each case: assumptions introduce
-    parities, balance steps must name a degree-4 vertex, two incident
-    edges with equal known parity, and conclude the opposite parity on
-    exactly the other two incident edges; propagate steps must walk a
-    real even path of degree-2 interior vertices whose first edge parity
-    is known. Every case must stay consistent until its final step and
-    conflict there on the recorded edge. Returns True only if all of
-    that holds.
-    """
-    g, _ = gen_triangle_graph(cert.k, cert.l, cert.m)
-
-    def run_case(case: ParityCase) -> bool:
-        known: dict[Edge, int] = {}
-
-        def learn(e: Edge, p: int) -> bool:
-            # False means contradiction with an earlier deduction
-            if e in known and known[e] != p:
-                return False
-            known[e] = p
-            return True
-
-        last = len(case.steps) - 1
-        for i, step in enumerate(case.steps):
-            for e in step.edges + step.using:
-                if e not in g.edges:
-                    return False
-            if step.kind == "assume":
-                if step.parity != case.assumed_parity:
-                    return False
-                if not all(learn(e, step.parity) for e in step.edges):
-                    return False
-            elif step.kind == "balance":
-                v = step.at
-                if v is None or g.degree(v) != 4:
-                    return False
-                incident = {norm_edge(v, w) for w in g.neighbors(v)}
-                if set(step.using) | set(step.edges) != incident:
-                    return False
-                if len(step.using) != 2 or len(step.edges) != 2:
-                    return False
-                ps = {known.get(e) for e in step.using}
-                if ps != {1 - step.parity}:
-                    return False
-                conflicted = not all(learn(e, step.parity) for e in step.edges)
-                if conflicted:
-                    return i == last and cert_conflicts(case, step)
-            elif step.kind == "propagate":
-                walk = step.path
-                if len(walk) < 3 or len(walk) % 2 != 1:
-                    return False  # even edge count means odd vertex count
-                pe = [norm_edge(x, y) for x, y in zip(walk, walk[1:])]
-                if not all(e in g.edges for e in pe):
-                    return False
-                if not all(g.degree(v) == 2 for v in walk[1:-1]):
-                    return False
-                first_p = known.get(pe[0])
-                if first_p is None:
-                    return False
-                flips = len(pe) - 1
-                want = first_p if flips % 2 == 0 else 1 - first_p
-                if step.parity != want or step.edges != (pe[-1],):
-                    return False
-                if not learn(pe[-1], want):
-                    return i == last and cert_conflicts(case, step)
-            else:
-                return False
-        # a case that completes without contradiction proves nothing
-        return False
-
-    def cert_conflicts(case: ParityCase, step: ParityStep) -> bool:
-        return case.conflict_edge in step.edges
-
-    return all(run_case(case) for case in cert.cases)

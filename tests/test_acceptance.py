@@ -28,10 +28,8 @@ from outercolor.outerplanar import (
 from outercolor.solver import (
     Colored,
     NotColorable,
-    OddCycleCertificate,
+    ParityCertificate,
     find_interval_coloring,
-    parity_obstruction,
-    replay_parity_certificate,
     width,
 )
 from outercolor.subcubic import color_optimal_subcubic, color_subcubic_le4_traced
@@ -131,11 +129,7 @@ def test_criterion_2_le4_bound():
             # odd cycles are the one excluded case: nothing to bound,
             # they have no interval coloring at any t
             odd_cycles += 1
-            out = width(g)
-            if not (
-                isinstance(out, NotColorable)
-                and isinstance(out.certificate, OddCycleCertificate)
-            ):
+            if width(g) != NotColorable(ParityCertificate(g.n, g.m, None)):
                 problems.append(f"odd C{g.n} not certified uncolorable")
             continue
         col, _ = color_subcubic_le4_traced(g)
@@ -158,11 +152,12 @@ def test_criterion_3_triangle_paths_not_colorable():
     for k, l, m in [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 2, 1)]:
         g, _ = gen_triangle_graph(k, l, m)
         out = width(g)
-        certified = out == NotColorable(parity_obstruction(*sorted((k, l, m))))
-        if not certified:
+        if out != NotColorable(ParityCertificate(g.n, g.m, tuple(sorted((k, l, m))))):
             problems.append(f"T({k},{l},{m}): width gave {out!r}")
-        elif not replay_parity_certificate(out.certificate):
-            problems.append(f"T({k},{l},{m}): certificate replay failed")
+        # the certificate's claim, recounted on the graph: all degrees
+        # even and m odd
+        elif g.m % 2 == 0 or any(g.degree(v) % 2 for v in range(g.n)):
+            problems.append(f"T({k},{l},{m}): certificate claim fails on the graph")
         # the exhaustion width no longer runs must agree with the certificate
         found = [t for t in range(g.max_degree, g.m + 1) if find_interval_coloring(g, t)]
         if found:

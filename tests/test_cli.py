@@ -19,7 +19,12 @@ import outercolor.fan
 import outercolor.subcubic
 from outercolor.cli import main
 from outercolor.fan import load_base_table
-from outercolor.graphs import gen_random_outerplanar_subcubic, read_edge_list, write_edge_list
+from outercolor.graphs import (
+    gen_cycle,
+    gen_random_outerplanar_subcubic,
+    read_edge_list,
+    write_edge_list,
+)
 
 # the directory that holds the package, for child interpreters
 SRC = str(Path(outercolor.__file__).resolve().parent.parent)
@@ -454,6 +459,16 @@ def test_width_not_colorable_triangle_paths(capsys, monkeypatch):
         assert (code, json.loads(out)) == (1, {"verdict": "no-coloring-at-t", "t": t})
 
 
+def test_width_not_colorable_odd_cycle(capsys, monkeypatch):
+    # a graph the parity screen refuses that is not T_{k,l,m} is named by
+    # its size alone
+    code, out, _ = run(["width"], capsys, monkeypatch, stdin_text=write_edge_list(gen_cycle(7)))
+    assert code == 1
+    assert out == (
+        '{"verdict": "not-colorable", "certificate": {"kind": "parity", "n": 7, "edges": 7}}\n'
+    )
+
+
 def test_width_colored_reports_t(capsys, monkeypatch):
     _, graph_text, _ = run(["gen", "--family", "cycle", "--n", "6"], capsys)
     code, out, _ = run(["width"], capsys, monkeypatch, stdin_text=graph_text)
@@ -644,6 +659,52 @@ def test_file_io_round_trip(tmp_path, capsys):
     code, verdict_text, _ = run(["verify", "--in", str(out_file)], capsys)
     assert code == 0
     assert json.loads(verdict_text)["t"] == 6
+
+
+def test_unopenable_input_is_one_line_with_exit_2(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    code, out, err = run(["verify", "--in", str(missing)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"outercolor: error: {missing}: No such file or directory\n"
+
+
+def test_unopenable_output_is_one_line_with_exit_2(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "x"
+    code, out, err = run(["gen", "--family", "cycle", "--n", "4", "--out", str(target)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"outercolor: error: {target}: No such file or directory\n"
+
+
+def _cli(argv, **kwargs):
+    return subprocess.Popen(
+        [sys.executable, "-m", "outercolor.cli", *argv],
+        stderr=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=SRC), **kwargs,
+    )
+
+
+# a write that fails when it is made, and one that fails only at the
+# flush after the command returns
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("n", ["200000", "4"])
+def test_full_stdout_is_one_line_with_exit_2(n):
+    with open("/dev/full", "w") as full, _cli(
+        ["gen", "--family", "cycle", "--n", n], stdout=full
+    ) as proc:
+        err = proc.stderr.read()
+    assert proc.returncode == 2
+    assert err == "outercolor: error: <stdout>: No space left on device\n"
+
+
+def test_closed_pipe_is_quiet_with_exit_0():
+    # the reader has left before the first write, as in `outercolor gen
+    # ... | true`: what it did not take is no error
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as pipe, _cli(
+        ["gen", "--family", "cycle", "--n", "200000"], stdout=pipe
+    ) as proc:
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (0, "")
 
 
 def test_malformed_edge_list_is_domain_error(capsys, monkeypatch):

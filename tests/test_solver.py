@@ -1,6 +1,6 @@
 import random
 import time
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -19,14 +19,11 @@ from outercolor.solver import (
     ExhaustedAllT,
     Inconclusive,
     NotColorable,
-    OddCycleCertificate,
     ParityCertificate,
     color_bound,
     find_interval_coloring,
     has_triangle,
-    parity_obstruction,
     precheck,
-    replay_parity_certificate,
     width,
 )
 
@@ -49,7 +46,7 @@ def chorded_hexagon():
 def test_precheck_odd_cycle():
     out = precheck(gen_cycle(5))
     assert isinstance(out, NotColorable)
-    assert out.certificate == OddCycleCertificate(5)
+    assert out.certificate == ParityCertificate(n=5, edges=5, klm=None)
     assert precheck(gen_cycle(6)) is None
     g, _ = gen_triangular_fan(5)
     assert precheck(g) is None
@@ -133,8 +130,8 @@ def test_width_c4():
 def test_width_odd_cycle_certificate():
     out = width(gen_cycle(7))
     assert isinstance(out, NotColorable)
-    assert out.certificate == OddCycleCertificate(7)
-    assert repr(out) == "NotColorable(certificate=OddCycleCertificate(n=7))"
+    assert out.certificate == ParityCertificate(7, 7, None)
+    assert repr(out) == "NotColorable(certificate=ParityCertificate(n=7, edges=7, klm=None))"
 
 
 def test_width_chorded_hexagon_is_three():
@@ -155,20 +152,44 @@ def triangle_with_paths(a, b, c):
 
 
 def test_width_t111_not_colorable_by_exhaustion():
-    # width answers from the replayed parity certificate; the search it
-    # skips still finds nothing at any t from max degree to m
+    # width answers from the degree-parity screen; the search it skips
+    # still finds nothing at any t from max degree to m
     g, _ = gen_triangle_graph(1, 1, 1)
     out = width(g)
-    assert out == NotColorable(parity_obstruction(1, 1, 1))
-    assert replay_parity_certificate(out.certificate)
+    assert out == NotColorable(ParityCertificate(6, 9, (1, 1, 1)))
     assert all(find_interval_coloring(g, t) is None for t in range(g.max_degree, g.m + 1))
 
 
-def test_width_exhausts_a_triangle_with_odd_paths():
-    # paths of 4, 3 and 3 edges: no precheck applies, and no t works
-    g = triangle_with_paths(4, 3, 3)
+def k_n(n):
+    return make_graph(n, list(combinations(range(n), 2)))
+
+
+def test_width_exhausts_k5():
+    # every degree is 4 but m = 10 is even, so the screen misses K5, and
+    # no t works
+    g = k_n(5)
     assert precheck(g) is None
-    assert width(g) == NotColorable(ExhaustedAllT(t_max=13, reason="edge-count-bound"))
+    assert width(g) == NotColorable(ExhaustedAllT(t_max=10, reason="edge-count-bound"))
+
+
+SIDE_PATHS = [(4, 3, 3), (4, 5, 5), (4, 7, 7), (5, 6, 7), (6, 7, 7)]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [triangle_with_paths(*abc) for abc in SIDE_PATHS] + [k_n(7)],
+    ids=[f"paths{a}{b}{c}" for a, b, c in SIDE_PATHS] + ["K7"],
+)
+def test_width_settles_eulerian_odd_m_without_searching(g, monkeypatch):
+    # every degree even and m odd; each of these used to be exhausted,
+    # run out of budget or take seconds, and the screen now answers it
+    # before any search
+    def no_search(*args, **kwargs):
+        raise AssertionError("width searched a graph the screen settles")
+
+    monkeypatch.setattr(solver, "find_interval_coloring", no_search)
+    assert all(g.degree(v) % 2 == 0 for v in range(g.n)) and g.m % 2 == 1
+    assert width(g, budget_ms=10_000) == NotColorable(ParityCertificate(g.n, g.m, None))
 
 
 def test_width_triangle_free_reason():
@@ -185,16 +206,20 @@ def test_width_triangle_free_reason():
 
 
 def test_width_respects_budget():
-    # paths of 4, 5 and 5 edges: no precheck applies, and the search at
-    # t = 4 runs past its first deadline poll
-    g = triangle_with_paths(4, 5, 5)
+    # a relabelled random subcubic graph on 100 vertices: the screen
+    # misses it (it has degree-3 vertices), and the search at t = 3 runs
+    # past its first deadline poll
+    g = gen_random_outerplanar_subcubic(100, 0)
+    perm = list(range(g.n))
+    random.Random(7).shuffle(perm)
+    g = make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
     assert precheck(g) is None
     out = width(g, budget_ms=0)
     assert isinstance(out, Inconclusive)
     assert out.bound_exhausted_at == g.max_degree
     # the precheck settles T_{2,2,1} before the budget is looked at
     t221, _ = gen_triangle_graph(2, 2, 1)
-    assert width(t221, budget_ms=0) == NotColorable(parity_obstruction(1, 2, 2))
+    assert width(t221, budget_ms=0) == NotColorable(ParityCertificate(10, 13, (1, 2, 2)))
 
 
 def test_width_deterministic():
@@ -242,58 +267,6 @@ def test_require_palettes_not_defeated_by_symmetry_breaking():
     assert {col.assignment[(0, 1)], col.assignment[(0, 3)]} == {2, 3}
 
 
-def test_parity_certificate_replays():
-    for klm in [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 2, 1)]:
-        cert = parity_obstruction(*klm)
-        assert isinstance(cert, ParityCertificate)
-        assert len(cert.cases) == 2
-        assert {c.assumed_parity for c in cert.cases} == {0, 1}
-        assert replay_parity_certificate(cert)
-
-
-def test_parity_certificate_all_roles_all_small_parameters():
-    # the chain never uses the specific path lengths, only their evenness,
-    # so it must close from every corner; the chain from y or z is the
-    # chain from x of T on a permutation of (k, l, m), so every order of
-    # the parameters covers every corner
-    for k in (1, 2, 3):
-        for l in (1, 2, 3):
-            for m in (1, 2, 3):
-                assert replay_parity_certificate(parity_obstruction(k, l, m))
-
-
-def test_tampered_certificates_fail_replay():
-    cert = parity_obstruction(1, 1, 1)
-    good_case = cert.cases[0]
-
-    # flip the assumed parity without rebuilding: chain inconsistent
-    bad1 = cert._replace(cases=(good_case._replace(assumed_parity=1), cert.cases[1]))
-    assert not replay_parity_certificate(bad1)
-
-    # drop the final step: no contradiction reached
-    bad2 = cert._replace(
-        cases=(good_case._replace(steps=good_case.steps[:-1]), cert.cases[1])
-    )
-    assert not replay_parity_certificate(bad2)
-
-    # claim the conflict lands on a different edge
-    wrong_edge = good_case.steps[0].edges[0]
-    bad3 = cert._replace(
-        cases=(good_case._replace(conflict_edge=wrong_edge), cert.cases[1])
-    )
-    assert not replay_parity_certificate(bad3)
-
-
-def test_parity_symmetry_of_roles():
-    # (1,1,2) from x mirrors (2,1,1): both replay, and the graphs agree
-    # in size
-    a, _ = gen_triangle_graph(2, 1, 1)
-    b, _ = gen_triangle_graph(1, 1, 2)
-    assert a.n == b.n and a.m == b.m
-    assert replay_parity_certificate(parity_obstruction(1, 1, 2))
-    assert replay_parity_certificate(parity_obstruction(2, 1, 1))
-
-
 def test_width_matches_brute_force_verdict_on_c6():
     out = width(gen_cycle(6))
     assert isinstance(out, Colored) and out.t == 2
@@ -305,7 +278,7 @@ def test_width_past_the_recursion_limit():
     assert isinstance(out, Colored) and out.t == 2
     assert check_interval_coloring(gen_cycle(1500), out.coloring) is None
     out = width(gen_cycle(1501))
-    assert out == NotColorable(OddCycleCertificate(1501))
+    assert out == NotColorable(ParityCertificate(1501, 1501, None))
 
 
 def _count_searches(monkeypatch):
