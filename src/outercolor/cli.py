@@ -8,12 +8,14 @@ Commands read the edge-list format (or coloring JSON where noted) from
 Exit codes: 0 success, 1 for negative-but-valid verdicts (rejection,
 not colorable, violation, inconclusive), 2 for usage errors and for a
 file that cannot be opened, read or written, 3 for an internal error (a
-failed internal check, or memory ran out), reported as one
-`internal-error` verdict line. A reader that closes the pipe early ends
-the command quietly with exit 0. A well-formed call is read straight
-off the command table and builds no parser, nor imports argparse. Help
-and usage errors build the parser: a command's own for its help and its
-errors, every command's for top-level help and top-level usage errors.
+failed internal check, memory ran out, or any other exception),
+reported as one `internal-error` verdict line. Input is read as UTF-8
+under any locale, so a byte that is not UTF-8 is a parse error (exit
+1). A reader that closes the pipe early ends the command quietly with
+exit 0. A well-formed call is read straight off the command table and
+builds no parser, nor imports argparse. Help and usage errors build
+the parser: a command's own for its help and its errors, every
+command's for top-level help and top-level usage errors.
 """
 
 from __future__ import annotations
@@ -99,14 +101,20 @@ def __getattr__(name: str):
 
 
 def _read_text(path: str | None) -> str:
+    """The bytes of `path`, or of stdin, as UTF-8 whatever the locale. A
+    byte that is not UTF-8 becomes a lone surrogate, which every parser
+    here rejects with an `error` verdict. A text stream put in place of
+    stdin, which has no bytes under it, is read as it is."""
     try:
         if path is None:
-            return sys.stdin.read()
-        with open(path) as f:
-            return f.read()
+            data = getattr(sys.stdin, "buffer", sys.stdin).read()
+        else:
+            with open(path, "rb") as f:
+                data = f.read()
     except OSError as exc:
         exc.filename = "<stdin>" if path is None else path
         raise
+    return data if isinstance(data, str) else data.decode("utf-8", "surrogateescape")
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -207,9 +215,9 @@ def _cmd_color(args: Args) -> int:
     _load("subcubic" if args.method == "construct" else "solver")
     if args.method == "construct":
         try:
-            # parity-optimal construction at max degree 3; the plain
-            # reduction covers even cycles (2 colors, no chords to place)
-            if g.max_degree == 3 and g.n % 2 == 0:
+            # parity-optimal construction at max degree 3; the peel covers
+            # even cycles (2 colors, no chords to place)
+            if g.max_degree == 3:
                 _, col = color_optimal_subcubic(g)
                 steps: tuple = ()
             else:
@@ -485,9 +493,11 @@ def main(argv: list[str] | None = None) -> int:
         except (GraphError, ColoringError) as exc:
             _emit(_verdict({"verdict": "error", "detail": str(exc)}), getattr(args, "out", None))
             code = 1
-        except (AssertionError, MemoryError) as exc:
-            # a failed internal check, or memory ran out: a verdict, not a
-            # traceback, with its own exit code
+        except OSError:
+            raise  # a file that failed: answered below with exit 2
+        except Exception as exc:
+            # a failed internal check, memory ran out, or any other fault:
+            # a verdict, not a traceback, with its own exit code
             detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
             _emit(_verdict({"verdict": "internal-error", "detail": detail}),
                   getattr(args, "out", None))

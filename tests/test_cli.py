@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -260,16 +261,15 @@ def test_gen_color_verify_pipeline(capsys, monkeypatch):
 
 
 def test_color_trace_goes_to_stderr(capsys, monkeypatch):
-    _, graph_text, _ = run(
-        ["gen", "--family", "random", "--n", "9", "--seed", "4"], capsys
-    )
+    # an even cycle is the one kind of input `color` gives the peel
+    _, graph_text, _ = run(["gen", "--family", "cycle", "--n", "6"], capsys)
     code, out, err = run(
         ["color", "--trace"], capsys, monkeypatch, stdin_text=graph_text
     )
     assert code == 0
     # stdout stays a clean coloring document, the trace rides stderr
     json.loads(out)
-    assert "depth=0" in err
+    assert err == "BaseEvenCycle depth=0 removed=() attachments=()\n"
 
 
 # C9 with chords (0, 2) and (4, 6)
@@ -282,16 +282,23 @@ def test_color_trace_names_input_vertex_ids(capsys, monkeypatch):
     # C9 with chords (0, 2) and (4, 6). Depth 0 cuts 7 and 8, depth 1
     # contracts the triangle 0, 1, 2 into 0, so at depth 2 the survivors
     # are 0, 3, 4, 5, 6 and input ids 3, 4, 6 differ from their ranks
+    _, steps = outercolor.subcubic.color_subcubic_le4_traced(read_edge_list(C9_TWO_CHORDS))
+    assert [
+        f"{s.case} depth={s.depth} removed={s.removed} attachments={s.attachments}"
+        for s in steps
+    ] == [
+        "Case11 depth=0 removed=(7, 8) attachments=(6, 0)",
+        "Case2 depth=1 removed=(0, 1, 2) attachments=(6, 3)",
+        "Case12OddCycle depth=2 removed=(0, 3) attachments=(6, 4)",
+    ]
+    # `color` colors odd order with max degree 3 by the dynamic program,
+    # which has no levels to trace
     code, plain, _ = run(["color"], capsys, monkeypatch, stdin_text=C9_TWO_CHORDS)
     assert code == 0
     code, out, err = run(["color", "--trace"], capsys, monkeypatch, stdin_text=C9_TWO_CHORDS)
     assert code == 0
     assert out == plain
-    assert err.splitlines() == [
-        "Case11 depth=0 removed=(7, 8) attachments=(6, 0)",
-        "Case2 depth=1 removed=(0, 1, 2) attachments=(6, 3)",
-        "Case12OddCycle depth=2 removed=(0, 3) attachments=(6, 4)",
-    ]
+    assert err == ""
 
 
 def test_color_rejects_odd_cycle(capsys, monkeypatch):
@@ -302,15 +309,17 @@ def test_color_rejects_odd_cycle(capsys, monkeypatch):
 
 
 def test_internal_check_failure_is_a_verdict_with_exit_3(capsys, monkeypatch):
-    # a faulty splice trips the peel's own check: one JSON line and exit
-    # 3, not a traceback with the exit code of a negative verdict
-    original = outercolor.subcubic._splice_pair_new_edge
+    # a fault in the dynamic program's result trips its own check: one
+    # JSON line and exit 3, not a traceback with the exit code of a
+    # negative verdict
+    original = outercolor.subcubic._coloring_of
 
-    def faulty(peel, u, v, x, y):
-        original(peel, u, v, x, y)
-        peel.paint(u, v, peel.at[u][x])  # u sees one color twice
+    def faulty(assignment):
+        assignment = dict(assignment)
+        assignment[(0, 1)] = assignment[(0, 2)]  # 0 sees one color twice
+        return original(assignment)
 
-    monkeypatch.setattr(outercolor.subcubic, "_splice_pair_new_edge", faulty)
+    monkeypatch.setattr(outercolor.subcubic, "_coloring_of", faulty)
     code, out, err = run(["color"], capsys, monkeypatch, stdin_text=C9_TWO_CHORDS)
     assert code == 3
     assert err == ""
@@ -318,7 +327,7 @@ def test_internal_check_failure_is_a_verdict_with_exit_3(capsys, monkeypatch):
     verdict = json.loads(out)
     assert verdict["verdict"] == "internal-error"
     assert verdict["detail"].startswith(
-        "AssertionError: splice broke the coloring at Case11 splice at depth 0: not-proper"
+        "AssertionError: the odd-order dynamic program gave an invalid coloring: not-proper"
     )
 
 
@@ -330,6 +339,16 @@ def test_memory_error_is_a_verdict_with_exit_3(capsys, monkeypatch):
     code, out, _ = run(["recognize"], capsys, monkeypatch, stdin_text=C9_TWO_CHORDS)
     assert code == 3
     assert json.loads(out) == {"verdict": "internal-error", "detail": "MemoryError"}
+
+
+def test_any_other_exception_is_a_verdict_with_exit_3(capsys, monkeypatch):
+    def broken(g):
+        raise KeyError(7)
+
+    monkeypatch.setattr(outercolor.cli, "recognize_outerplanar_2connected", broken)
+    code, out, err = run(["recognize"], capsys, monkeypatch, stdin_text=C9_TWO_CHORDS)
+    assert (code, err) == (3, "")
+    assert json.loads(out) == {"verdict": "internal-error", "detail": "KeyError: 7"}
 
 
 @pytest.mark.parametrize("n", [40, 41])
@@ -673,6 +692,93 @@ def test_unopenable_output_is_one_line_with_exit_2(tmp_path, capsys):
     code, out, err = run(["gen", "--family", "cycle", "--n", "4", "--out", str(target)], capsys)
     assert (code, out) == (2, "")
     assert err == f"outercolor: error: {target}: No such file or directory\n"
+
+
+# every command that reads a graph or a coloring
+READERS = ["recognize", "color", "width", "verify", "export-dot"]
+
+
+@pytest.mark.parametrize("command", READERS)
+def test_non_utf8_input_is_an_error_verdict(command, tmp_path, capsys, monkeypatch):
+    # one byte that is not UTF-8, from a file and from a stdin that
+    # decodes strictly, as stdin does under a UTF-8 locale
+    path = tmp_path / "bad"
+    path.write_bytes(b"\xff")
+    code, out, err = run([command, "--in", str(path)], capsys)
+    assert (code, err) == (1, "")
+    assert json.loads(out)["verdict"] == "error"
+    strict = io.TextIOWrapper(io.BytesIO(b"\xff"), encoding="utf-8", errors="strict")
+    monkeypatch.setattr(sys, "stdin", strict)
+    assert run([command], capsys) == (1, out, "")
+
+
+# a valid input of each kind to mutate
+EDGE_SEEDS = [
+    C4.encode(),
+    C9_TWO_CHORDS.encode(),
+    write_edge_list(gen_random_outerplanar_subcubic(11, 2)).encode(),
+]
+COLORING_SEEDS = [
+    C4_COLORING.encode(),
+    b'{"t": 4, "edges": [[0, 1, 2], [0, 2, 1], [0, 8, 3], [1, 2, 3], [2, 3, 2],'
+    b" [3, 4, 1], [4, 5, 2], [4, 6, 3], [5, 6, 1], [6, 7, 2], [7, 8, 4]]}",
+]
+
+
+@st.composite
+def mutated(draw, seeds):
+    """A valid input with bytes dropped, duplicated or flipped, its first
+    number made huge, or its whole text nested deep."""
+    data = draw(st.sampled_from(seeds))
+    kind = draw(st.sampled_from(["bytes", "huge", "nested"]))
+    if kind == "huge":
+        # past Python's 4300-digit limit for int() at the far end
+        huge = b"1" + b"0" * draw(st.integers(6, 5000))
+        data = re.sub(rb"\d+", huge, data, count=1)
+    elif kind == "nested":
+        depth = draw(st.sampled_from([1, 100, 100_000]))
+        opener = draw(st.sampled_from([b"[", b'{"a": ']))
+        closer = b"]" if opener == b"[" else b"}"
+        data = opener * depth + data + closer * depth
+    data = bytearray(data)
+    for _ in range(draw(st.integers(0 if kind != "bytes" else 1, 4))):
+        i = draw(st.integers(0, len(data) - 1))
+        edit = draw(st.sampled_from(["drop", "duplicate", "flip"]))
+        if edit == "drop":
+            del data[i]
+        elif edit == "duplicate":
+            data.insert(i, data[i])
+        else:
+            data[i] ^= 1 << draw(st.integers(0, 7))
+    return bytes(data)
+
+
+@pytest.mark.parametrize(
+    "argv, seeds",
+    [
+        (["recognize"], EDGE_SEEDS),
+        (["color", "--trace"], EDGE_SEEDS),
+        (["color", "--method", "exact", "--budget-ms", "50"], EDGE_SEEDS),
+        (["width", "--budget-ms", "50"], EDGE_SEEDS),
+        (["verify"], COLORING_SEEDS),
+        (["export-dot"], EDGE_SEEDS + COLORING_SEEDS),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v[0], str) else None,
+)
+def test_mutated_input_ends_in_a_listed_exit_code(argv, seeds, capsys, monkeypatch):
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(mutated(seeds))
+    def check(data):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        _, err = capsys.readouterr()
+        assert "Traceback" not in err
+        assert code in (0, 1, 2, 3)  # the exit codes the README's "CLI" section lists
+
+    check()
 
 
 def _cli(argv, **kwargs):
