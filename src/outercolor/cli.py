@@ -74,7 +74,7 @@ _LAZY = {
     "subcubic": (
         "ColoringPreconditionError",
         "color_optimal_subcubic",
-        "color_subcubic_le4_traced",
+        "color_subcubic_le4_traced",  # bound for the benchmark's tracer only
     ),
     "fan": ("color_fan", "separating_triangle_demo"),
 }
@@ -207,31 +207,16 @@ def _cmd_color(args: Args) -> int:
         for flag, value in (("--t", args.t), ("--budget-ms", args.budget_ms)):
             if value is not None:
                 _usage_error(args, f"{flag} needs --method exact")
-    elif args.trace:
-        _usage_error(args, "--trace needs --method construct")
     else:
         _check_budget(args)
     g = _load_graph(args.graph_in)
     _load("subcubic" if args.method == "construct" else "solver")
     if args.method == "construct":
         try:
-            # parity-optimal construction at max degree 3; the peel covers
-            # even cycles (2 colors, no chords to place)
-            if g.max_degree == 3:
-                _, col = color_optimal_subcubic(g)
-                steps: tuple = ()
-            else:
-                col, steps = color_subcubic_le4_traced(g)
+            _, col = color_optimal_subcubic(g)
         except ColoringPreconditionError as exc:
             _emit(_verdict({"verdict": "error", "detail": str(exc)}), args.out)
             return 1
-        if args.trace:
-            for step in steps:
-                print(
-                    f"{step.case} depth={step.depth} removed={step.removed}"
-                    f" attachments={step.attachments}",
-                    file=sys.stderr,
-                )
     elif args.t is not None:
         deadline = None
         if args.budget_ms is not None:
@@ -393,7 +378,6 @@ _COMMANDS = {
         ("--method", {"choices": ["construct", "exact"], "default": "construct"}),
         ("--t", {"type": int, "help": "exact search at this color count only"}),
         _BUDGET, _FORMAT,
-        ("--trace", {"action": "store_true", "help": "reduction steps on stderr"}),
     )),
     "width": ("exact minimum color count by exhaustive search", _cmd_width, (*_IO, _BUDGET)),
     "verify": ("validate a coloring JSON document", _cmd_verify, _IO),
@@ -453,9 +437,6 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
         options = specs.get(flag)
         if options is None or flag in given:
             return None
-        if options.get("action") == "store_true":
-            given[flag] = True
-            continue
         value = next(tokens, "-")
         if value.startswith("-"):
             return None
@@ -471,8 +452,8 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     for flag, options in arguments:
         if flag not in given and options.get("required"):
             return None
-        default = False if options.get("action") == "store_true" else options.get("default")
-        setattr(args, options.get("dest", flag[2:].replace("-", "_")), given.get(flag, default))
+        setattr(args, options.get("dest", flag[2:].replace("-", "_")),
+                given.get(flag, options.get("default")))
     return args
 
 

@@ -1,10 +1,11 @@
 """Constructive interval coloring for 2-connected outerplanar graphs
 with maximum degree at most 3.
 
-At maximum degree exactly 3, even order gets an exactly-3-color
-construction and odd order an exactly-4-color one, from one dynamic
-program over the chord nesting (`color_odd_subcubic`). The peel below
-colors the rest, even cycles, and serves library callers and the tests.
+`color_optimal_subcubic` is the one entry. At maximum degree exactly 3,
+even order gets an exactly-3-color construction and odd order an
+exactly-4-color one, from one dynamic program over the chord nesting
+(`color_odd_subcubic`). The peel below colors even cycles and serves
+library callers and the tests.
 
 The peel removes one reducible configuration at a time from a single
 mutable adjacency: an adjacent degree-2 pair is cut out (reattaching or
@@ -33,9 +34,9 @@ down, so each level tests only these, at O(1) cost per touched vertex:
   use and none is below 1;
 - the counts sum to the level's edge count: every edge is colored.
 
-A bad splice fails at the exact depth that made it, and only then is
-its witness looked for, named with the validator's violation kinds. The
-full validator then checks the finished coloring once. At most 4 colors are
+A bad splice fails at the exact depth that made it, and only then does
+the validator look for its witness, in that level's graph. The full
+validator then checks the finished coloring once. At most 4 colors are
 ever produced.
 """
 
@@ -44,7 +45,7 @@ from __future__ import annotations
 import heapq
 from typing import NamedTuple
 
-from .coloring import EdgeColoring, Violation, check_interval_coloring
+from .coloring import EdgeColoring, check_interval_coloring
 from .graphs import Edge, Graph, make_graph, neighbor_sets, norm_edge
 from .outerplanar import OuterEmbedding, Rejection, recognize_outerplanar_2connected
 
@@ -188,40 +189,16 @@ class _Peel:
                 return False
         return min(uses) >= 1 and max(uses) == len(uses) and sum(uses.values()) == m
 
-    def _violation(self, verts, m: int) -> Violation | None:
-        """The witness for a failed valid_at, in the validator's terms."""
-        adj, at, uses = self.adj, self.at, self.uses
-        for v in sorted(verts):
-            palette = []
-            for w in sorted(adj[v]):
-                c = at[v].get(w)
-                if c is None:
-                    return Violation("uncolored-edge", edge=norm_edge(v, w))
-                palette.append(c)
-            palette.sort()
-            for a, b in zip(palette, palette[1:]):
-                if a == b:
-                    return Violation("not-proper", vertex=v, color=a)
-            if palette and palette[-1] - palette[0] != len(palette) - 1:
-                return Violation("not-interval", vertex=v)
-        if min(uses) < 1:
-            return Violation("color-out-of-range", color=min(uses))
-        for c in range(1, max(uses) + 1):
-            if c not in uses:
-                return Violation("color-unused", color=c)
-        colored = sum(uses.values())
-        if colored > m:
-            return Violation("unknown-edge")
-        if colored < m:
-            return Violation("uncolored-edge")
-        for v in sorted(verts):
-            if stray := at[v].keys() - adj[v]:
-                return Violation("unknown-edge", edge=norm_edge(v, min(stray)))
-        return None
+    def assignment(self) -> dict[Edge, int]:
+        return {(v, w): c for v, cs in enumerate(self.at) for w, c in cs.items() if v < w}
 
-    def failure(self, verts, m: int, where: str) -> AssertionError:
-        """The error for a failed valid_at(verts, m), naming its witness."""
-        bad = self._violation(verts, m)
+    def failure(self, where: str) -> AssertionError:
+        """The error for a failed valid_at, naming the validator's first
+        defect in the coloring of this level's graph."""
+        adj = self.adj
+        g = Graph(len(adj), frozenset((v, w) for v, ws in enumerate(adj) for w in ws if v < w))
+        # t of at least 1, so that EdgeColoring takes any broken palette
+        bad = check_interval_coloring(g, EdgeColoring(max([1, *self.uses]), self.assignment()))
         return AssertionError(f"splice broke the coloring at {where}: {bad.describe()}")
 
 
@@ -484,7 +461,7 @@ def _color_rec(g: Graph) -> tuple[EdgeColoring, tuple[ReductionStep, ...]]:
 
     base = peel.live_vertices()
     if not peel.valid_at(base, m):
-        raise peel.failure(base, m, f"{steps[-1].case} base at depth {len(undo)}")
+        raise peel.failure(f"{steps[-1].case} base at depth {len(undo)}")
     for depth in reversed(range(len(undo))):
         case, verts = undo[depth]
         if case == "Case2":
@@ -517,9 +494,8 @@ def _color_rec(g: Graph) -> tuple[EdgeColoring, tuple[ReductionStep, ...]]:
                 _splice_pair_kept_edge(peel, u, v, x, y)
             touched = verts
         if not peel.valid_at(touched, m):
-            raise peel.failure(touched, m, f"{case} splice at depth {depth}")
-    assignment = {(v, w): c for v, cs in enumerate(peel.at) for w, c in cs.items() if v < w}
-    col = _assert_valid(g, _coloring_of(assignment), "the peel")
+            raise peel.failure(f"{case} splice at depth {depth}")
+    col = _assert_valid(g, _coloring_of(peel.assignment()), "the peel")
     if col.t > 4:
         raise AssertionError(f"construction used {col.t} colors")
     return col, tuple(steps)
@@ -748,18 +724,23 @@ def color_odd_subcubic(g: Graph, emb: OuterEmbedding) -> EdgeColoring:
 
 
 def color_optimal_subcubic(g: Graph) -> tuple[int, EdgeColoring]:
-    """Minimum-color interval coloring for max degree exactly 3: three
-    colors at even order, four at odd.
+    """Minimum-color interval coloring for max degree at most 3: two
+    colors for an even cycle; at max degree 3, three colors at even order
+    and four at odd.
 
     Odd order cannot do better: a 3-coloring would force the color-2
     edges to form a perfect matching, which odd order rules out.
+
+    Below degree 3 the only 2-connected graphs are cycles, so the peel
+    takes them: it colors an even one at its first base case, and its
+    checks reject the rest with the errors they give at degree 3.
     """
+    if g.max_degree < 3:
+        col, _ = color_subcubic_le4_traced(g)
+        return col.t, col
     emb = _check_preconditions(g)
-    if g.max_degree != 3:
-        raise ColoringPreconditionError(f"max degree must be 3, got {g.max_degree}")
     if g.n % 2 == 0:
-        col = color_even_hamiltonian(g, emb)
-        return 3, col
+        return 3, color_even_hamiltonian(g, emb)
     col = color_odd_subcubic(g, emb)
     if col.t != 4:
         raise AssertionError(f"odd-order construction used {col.t} colors, wanted 4")

@@ -108,9 +108,6 @@ def _parser_corpus(name):
     corpus = [[name], [name, "-h"], [name, *required], [name, *required, "--bogus"],
               [name, *required, "extra"]]
     for flag, options in arguments:
-        if options.get("action") == "store_true":
-            corpus.append([name, *required, flag])
-            continue
         value = options["choices"][-1] if "choices" in options else "3"
         corpus += [[name, *required, flag, value], [name, *required, flag]]
         if "choices" in options:
@@ -166,9 +163,6 @@ def _reader_argv(draw, name):
     _, _, arguments = outercolor.cli._COMMANDS[name]
     good, odd = [], [["-h"], ["--help"], ["--"], ["--bogus"], ["extra"], ["3"]]
     for flag, options in arguments:
-        if options.get("action") == "store_true":
-            good.append([flag])
-            continue
         values = [*options["choices"], "nope", "3"] if "choices" in options else READER_VALUES
         good += [[flag, value] for value in values]
         odd += [[flag], [f"{flag}={values[0]}"], [flag, values[0]]]
@@ -260,16 +254,13 @@ def test_gen_color_verify_pipeline(capsys, monkeypatch):
     assert json.loads(verdict_text)["verdict"] == "ok"
 
 
-def test_color_trace_goes_to_stderr(capsys, monkeypatch):
+def test_color_gives_an_even_cycle_two_colors(capsys, monkeypatch):
     # an even cycle is the one kind of input `color` gives the peel
     _, graph_text, _ = run(["gen", "--family", "cycle", "--n", "6"], capsys)
-    code, out, err = run(
-        ["color", "--trace"], capsys, monkeypatch, stdin_text=graph_text
-    )
+    code, out, err = run(["color"], capsys, monkeypatch, stdin_text=graph_text)
     assert code == 0
-    # stdout stays a clean coloring document, the trace rides stderr
-    json.loads(out)
-    assert err == "BaseEvenCycle depth=0 removed=() attachments=()\n"
+    assert json.loads(out)["t"] == 2
+    assert err == ""
 
 
 # C9 with chords (0, 2) and (4, 6)
@@ -278,7 +269,7 @@ C9_TWO_CHORDS = "9 11\n" + "".join(
 )
 
 
-def test_color_trace_names_input_vertex_ids(capsys, monkeypatch):
+def test_color_trace_names_input_vertex_ids():
     # C9 with chords (0, 2) and (4, 6). Depth 0 cuts 7 and 8, depth 1
     # contracts the triangle 0, 1, 2 into 0, so at depth 2 the survivors
     # are 0, 3, 4, 5, 6 and input ids 3, 4, 6 differ from their ranks
@@ -291,14 +282,6 @@ def test_color_trace_names_input_vertex_ids(capsys, monkeypatch):
         "Case2 depth=1 removed=(0, 1, 2) attachments=(6, 3)",
         "Case12OddCycle depth=2 removed=(0, 3) attachments=(6, 4)",
     ]
-    # `color` colors odd order with max degree 3 by the dynamic program,
-    # which has no levels to trace
-    code, plain, _ = run(["color"], capsys, monkeypatch, stdin_text=C9_TWO_CHORDS)
-    assert code == 0
-    code, out, err = run(["color", "--trace"], capsys, monkeypatch, stdin_text=C9_TWO_CHORDS)
-    assert code == 0
-    assert out == plain
-    assert err == ""
 
 
 def test_color_rejects_odd_cycle(capsys, monkeypatch):
@@ -409,11 +392,12 @@ def test_color_exact_at_fixed_t_keeps_the_budget(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--t", "1"], ["--budget-ms", "1000"], ["--method", "exact", "--trace"]],
-    ids=["t-without-exact", "budget-without-exact", "trace-with-exact"],
+    [["--t", "1"], ["--budget-ms", "1000"], ["--trace"]],
+    ids=["t-without-exact", "budget-without-exact", "trace"],
 )
 def test_color_rejects_a_flag_its_method_ignores(flags, capsys, monkeypatch):
-    # --t and --budget-ms steer only the exact search, --trace only the peel
+    # --t and --budget-ms steer only the exact search; --trace is no
+    # flag of `color` at all
     hexagon = "6 7\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n0 3\n"
     monkeypatch.setattr(sys, "stdin", io.StringIO(hexagon))
     with pytest.raises(SystemExit) as exc:
@@ -757,7 +741,7 @@ def mutated(draw, seeds):
     "argv, seeds",
     [
         (["recognize"], EDGE_SEEDS),
-        (["color", "--trace"], EDGE_SEEDS),
+        (["color"], EDGE_SEEDS),
         (["color", "--method", "exact", "--budget-ms", "50"], EDGE_SEEDS),
         (["width", "--budget-ms", "50"], EDGE_SEEDS),
         (["verify"], COLORING_SEEDS),

@@ -86,7 +86,7 @@ def test_color_never_runs_the_peel_on_odd_order(capsys, monkeypatch):
     g = gen_random_outerplanar_subcubic(41, 3)
     assert g.n % 2 == 1 and g.max_degree == 3
     monkeypatch.setattr(sys, "stdin", io.StringIO(write_edge_list(g)))
-    assert cli.main(["color", "--trace"]) == 0
+    assert cli.main(["color"]) == 0
     out, err = capsys.readouterr()
     assert err == ""
     assert '"t": 4' in out

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from outercolor import subcubic
@@ -205,17 +207,27 @@ def test_optimal_parity_rule():
 
 def test_precondition_errors():
     k4 = make_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-    with pytest.raises(ColoringPreconditionError, match="edge-bound"):
-        color_subcubic_le4_traced(k4)
-    with pytest.raises(ColoringPreconditionError, match="odd cycle"):
-        color_subcubic_le4_traced(gen_cycle(5))
     fan5, _ = gen_triangular_fan(5)
-    with pytest.raises(ColoringPreconditionError, match="degree"):
-        color_subcubic_le4_traced(fan5)
-    with pytest.raises(ColoringPreconditionError, match="not a 2-connected"):
-        color_subcubic_le4_traced(make_graph(4, [(0, 1), (2, 3)]))
-    with pytest.raises(ColoringPreconditionError):
-        color_optimal_subcubic(gen_cycle(6))  # max degree 2, not 3
+    for entry in (color_subcubic_le4_traced, color_optimal_subcubic):
+        with pytest.raises(ColoringPreconditionError, match="edge-bound"):
+            entry(k4)
+        with pytest.raises(ColoringPreconditionError, match="odd cycle"):
+            entry(gen_cycle(5))
+        with pytest.raises(ColoringPreconditionError, match="degree"):
+            entry(fan5)
+        with pytest.raises(ColoringPreconditionError, match="not a 2-connected"):
+            entry(make_graph(4, [(0, 1), (2, 3)]))
+    # an even cycle, max degree 2, goes to the peel and gets 2 colors
+    rng = random.Random(6)
+    cycles = [gen_cycle(6)]
+    for n in range(4, 41, 2):
+        labels = list(range(n))
+        rng.shuffle(labels)
+        cycles.append(make_graph(n, [(labels[i], labels[(i + 1) % n]) for i in range(n)]))
+    for g in cycles:
+        t, col = color_optimal_subcubic(g)
+        assert t == 2
+        assert col == color_subcubic_le4_traced(g)[0]
 
 
 def test_deep_recursion_long_cycle_one_chord():
@@ -329,11 +341,12 @@ def c9_two_chords():
     [
         (lambda peel, u, v, x, y: peel.unpaint(u, v), "uncolored-edge edge=(7, 8)"),
         (lambda peel, u, v, x, y: peel.paint(u, v, 9), "not-interval vertex=7"),
-        # one colored pair too many: the count of colored edges exceeds m
-        (lambda peel, u, v, x, y: peel.paint(u, y, 1), "unknown-edge"),
-        # a real edge's color moved onto a non-edge: the count still
-        # matches m, but the palette at 0 holds a key that is no neighbor
-        (lambda peel, u, v, x, y: peel.paint(u, y, peel.unpaint(3, 4)), "unknown-edge edge=(0, 7)"),
+        # one colored pair too many, which is no edge of the level
+        (lambda peel, u, v, x, y: peel.paint(u, y, 1), "unknown-edge edge=(0, 7)"),
+        # a real edge's color moved onto a non-edge: the validator names
+        # the edge left uncolored before the colored non-edge
+        (lambda peel, u, v, x, y: peel.paint(u, y, peel.unpaint(3, 4)),
+         "uncolored-edge edge=(3, 4)"),
     ],
     ids=["uncolored", "gap", "extra-edge", "moved-edge"],
 )
