@@ -5,17 +5,17 @@ plus pairwise non-crossing chords. Recognition reduces the graph by
 repeatedly deleting degree-2 vertices, replays the deletions to rebuild
 the outer cycle, and then verifies the result from scratch. The replay
 can produce garbage on non-outerplanar inputs; the final verification is
-what makes acceptance sound. Recognition, verification and face
-extraction each run in O((n + m) log n) time.
+what makes acceptance sound. The reduction and the replay take O(n + m)
+time, the verification's chord sort O(m log m), and face extraction
+O((n + m) log n).
 """
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_right
 from typing import NamedTuple
 
-from .graphs import Edge, Graph, is_connected, neighbor_sets, norm_edge
+from .graphs import Edge, Graph, is_connected, neighbor_sets
 
 
 class OuterEmbedding(NamedTuple):
@@ -40,8 +40,8 @@ class Rejection(NamedTuple):
     `recognize_outerplanar_2connected` gives one of "too-small",
     "disconnected", "edge-bound", "no-degree-2-vertex" and
     "order-not-hamiltonian". `verify_embedding` gives the last of these or
-    "crossing-chords"; the recognizer never does, because its replay only
-    splits edges of the walk, which leaves the chords nested.
+    "crossing-chords"; the recognizer never does, because its reduction
+    gets stuck on a Hamiltonian walk with crossing chords.
     """
 
     reason: str
@@ -66,17 +66,18 @@ def verify_embedding(g: Graph, order: list[int]) -> OuterEmbedding | Rejection:
     n = g.n
     if len(order) != n or set(order) != set(range(n)):
         return Rejection("order-not-hamiltonian")
-    cycle = set()
-    for i in range(n):
-        e = norm_edge(order[i], order[(i + 1) % n])
-        if e not in g.edges:
-            return Rejection("order-not-hamiltonian")
-        cycle.add(e)
+    cycle = {(u, v) if u < v else (v, u) for u, v in zip(order, order[1:] + order[:1])}
+    if not cycle <= g.edges:
+        return Rejection("order-not-hamiltonian")
     chords = g.edges - cycle
-    pos = {v: i for i, v in enumerate(order)}
-    placed = sorted(
-        (min(pos[u], pos[v]), -max(pos[u], pos[v])) for u, v in chords
-    )
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    placed = []
+    for u, v in chords:
+        p, q = pos[u], pos[v]
+        placed.append((p, -q) if p < q else (q, -p))
+    placed.sort()
     # placed runs by left end, outer chord first on a shared left end; the
     # stack holds the right ends of the open chords, innermost on top
     stack: list[int] = []
@@ -97,27 +98,32 @@ def _reject(g: Graph, reason: str) -> Rejection:
 def recognize_outerplanar_2connected(g: Graph) -> OuterEmbedding | Rejection:
     """Decide whether g is 2-connected outerplanar; return the embedding.
 
-    Reduce: repeatedly delete the lowest-id degree-2 vertex, bridging its
-    neighbors, down to 3 vertices. Replay: reinsert deleted vertices
-    between their neighbors to rebuild the outer walk. Verify: re-check
-    every invariant on the rebuilt walk. Rejection reasons name the first
-    failed check, in the order too-small, disconnected, edge-bound,
-    no-degree-2-vertex, order-not-hamiltonian.
+    Reduce: repeatedly delete a degree-2 vertex, bridging its neighbors,
+    down to 3 vertices. Replay: reinsert deleted vertices between their
+    neighbors to rebuild the outer walk. Verify: re-check every invariant
+    on the rebuilt walk. Rejection reasons name the first failed check, in
+    the order too-small, disconnected, edge-bound, no-degree-2-vertex,
+    order-not-hamiltonian.
 
-    The connectivity search only names a rejection: an accepted walk is a
-    Hamiltonian cycle, so an accepted graph is connected. A header with
-    m < n - 1 is answered "disconnected" from the counts, before any
-    adjacency is built. `is_connected` runs only when the edge bound or
-    the search for a degree-2 vertex has failed, and it turns that
-    rejection into "disconnected" when the graph is not connected. A
-    reduction that runs to its end settles connectivity for free: the
-    three vertices left all have neighbors iff g is connected, so the
-    replay and the verification only ever see connected graphs.
+    Connectivity is searched only to name a rejection (an accepted walk is
+    a Hamiltonian cycle), once the edge bound or the search for a degree-2
+    vertex has failed. m < n - 1 is "disconnected" from the counts, and so
+    is a finished reduction that leaves a vertex with no neighbors.
 
-    Runs in O((n + m) log n) time. Degrees never rise during the
-    reduction, so a min-heap of the vertices whose degree has dropped to 2
-    yields the lowest-id degree-2 vertex at every step (stale entries are
-    skipped when popped), and the replay inserts into a cyclic linked list.
+    The answer does not depend on which degree-2 vertex goes next. Nor
+    does whether the reduction gets stuck: deleting a degree-2 vertex and
+    merging the parallel edge it may leave is confluent (two deletions
+    commute or, at the two degree-2 vertices of a triangle, leave
+    isomorphic graphs). A finished reduction of a 2-connected outerplanar
+    graph shortcuts its unique Hamiltonian cycle at each step, so the
+    replay rebuilds that cycle, canonicalized afterwards. Any other
+    finished reduction is "order-not-hamiltonian": a Hamiltonian walk with
+    crossing chords holds a subdivided K4, which no deletion removes, so
+    its reduction gets stuck.
+
+    O(n + m) time besides the verification's chord sort: degrees never
+    rise, so a plain stack holds each vertex once, when its degree reaches
+    2, and the replay inserts into a cyclic linked list.
     """
     n = g.n
     if n < 3:
@@ -129,25 +135,28 @@ def recognize_outerplanar_2connected(g: Graph) -> OuterEmbedding | Rejection:
 
     adj = neighbor_sets(g)
     ready = [v for v in range(n) if len(adj[v]) == 2]
-    heappop, heappush = heapq.heappop, heapq.heappush
     steps: list[tuple[int, int, int]] = []
     for _ in range(n - 3):
-        while ready and len(adj[ready[0]]) != 2:
-            heappop(ready)  # deleted, or its degree fell below 2
-        if not ready:
-            return _reject(g, "no-degree-2-vertex")
-        v = heappop(ready)
-        x, y = adj[v]
-        if x > y:
-            x, y = y, x
-        adj[v].clear()
-        for w, other in ((x, y), (y, x)):
-            aw = adj[w]
-            before = len(aw)
-            aw.discard(v)
-            aw.add(other)
-            if len(aw) == 2 < before:
-                heappush(ready, w)
+        while True:  # skip the deleted, and those whose degree fell below 2
+            if not ready:
+                return _reject(g, "no-degree-2-vertex")
+            v = ready.pop()
+            av = adj[v]
+            if len(av) == 2:
+                break
+        x, y = av
+        av.clear()
+        ax, ay = adj[x], adj[y]
+        ax.discard(v)
+        ay.discard(v)
+        if y in ax:  # the bridge merges into edge xy: x and y lose one each
+            if len(ax) == 2:
+                ready.append(x)
+            if len(ay) == 2:
+                ready.append(y)
+        else:
+            ax.add(y)
+            ay.add(x)
         steps.append((v, x, y))
 
     # the walk is a cyclic linked list (nxt[v] follows v), started on the
@@ -155,9 +164,8 @@ def recognize_outerplanar_2connected(g: Graph) -> OuterEmbedding | Rejection:
     survivors = [v for v in range(n) if adj[v]]
     if len(survivors) != 3:
         # a deletion bridges two vertices of one component, so it keeps
-        # every component and its connectivity: three vertices are left,
-        # and they all have neighbors iff they form one component, that
-        # is, iff g is connected
+        # every component connected: the three vertices left all have
+        # neighbors iff g is connected
         return Rejection("disconnected")
     a, b, c = survivors
     nxt = [0] * n

@@ -43,6 +43,7 @@ ever produced.
 from __future__ import annotations
 
 import heapq
+from functools import cache
 from typing import NamedTuple
 
 from .coloring import EdgeColoring, check_interval_coloring
@@ -549,7 +550,8 @@ def color_even_hamiltonian(g: Graph, emb: OuterEmbedding) -> EdgeColoring:
 #
 # A relation between two edges' colors is a 16-bit int: with colors
 # 1..4 stored as 0..3, bit 4a + b says "color a on the first edge and
-# color b on the second fit together".
+# color b on the second fit together". The helpers are cached on first
+# use; only 27 relations are reachable from _IDENTITY, bounding each cache.
 
 _IDENTITY = 0x8421
 # the colors that differ by 1 from each color
@@ -570,6 +572,7 @@ _RUN_PAIRS = tuple(
 )
 
 
+@cache
 def _compose(r: int, s: int) -> int:
     # (a, b) such that (a, p) is in r and (p, b) in s for some p
     out = 0
@@ -581,6 +584,7 @@ def _compose(r: int, s: int) -> int:
     return out
 
 
+@cache
 def _jump(inside: int) -> int:
     # (p, q) for the cycle edges p before and q after a chord whose inside
     # path runs from color alpha to color beta as `inside` allows
@@ -594,6 +598,7 @@ def _jump(inside: int) -> int:
     return out
 
 
+@cache
 def _close_chord(before: int, inside: int, q: int) -> tuple[int, int, int, int]:
     # (p, alpha, beta, c): colors for the chord and the three cycle edges
     # around it, with p in the set `before` and (alpha, beta) in `inside`
@@ -641,8 +646,9 @@ def color_odd_subcubic(g: Graph, emb: OuterEmbedding) -> EdgeColoring:
     coloring exists, so a miss raises AssertionError.
 
     The colors are traced back from e_{n-1} to e_0 with a stack of scope
-    colors; nothing recurses. Every memo is keyed by relations and
-    colors, never by position, so it stays small at any n.
+    colors; nothing recurses. The relation helpers are cached per
+    process, keyed by relations and colors, never by position, so the
+    caches stay small at any n and a later call reuses them.
     """
     if g.n % 2 != 1:
         raise ColoringPreconditionError("odd order required")
@@ -657,8 +663,6 @@ def color_odd_subcubic(g: Graph, emb: OuterEmbedding) -> EdgeColoring:
     root = next(i for i, v in enumerate(order) if partner[v] < 0)
     order = order[root:] + order[:root]
 
-    step: dict[int, int] = {}
-    jump: dict[int, int] = {}
     rel = [_IDENTITY] * n
     mate = [-1] * n  # the other end of each position's chord
     opened: list[int] = []  # the positions of the chords open at k
@@ -666,20 +670,13 @@ def color_odd_subcubic(g: Graph, emb: OuterEmbedding) -> EdgeColoring:
     for k in range(1, n):
         w = partner[order[k]]
         if w < 0:
-            nxt = step.get(r)
-            if nxt is None:
-                nxt = step[r] = _compose(r, _DIFFER_BY_ONE)
-            r = nxt
+            r = _compose(r, _DIFFER_BY_ONE)
         elif opened and order[opened[-1]] == w:
             # chords do not cross, so a chord closes the innermost open one
             j = opened.pop()
             mate[j] = k
             mate[k] = j
-            key = rel[j - 1] << 16 | r
-            nxt = jump.get(key)
-            if nxt is None:
-                nxt = jump[key] = _compose(rel[j - 1], _jump(r))
-            r = nxt
+            r = _compose(rel[j - 1], _jump(r))
         else:
             opened.append(k)
             r = _IDENTITY
@@ -693,7 +690,6 @@ def color_odd_subcubic(g: Graph, emb: OuterEmbedding) -> EdgeColoring:
     col = [0] * n  # col[k] is the color of e_k, less 1
     col[n - 1] = last
     chord_col: dict[int, int] = {}  # by closing position
-    fits: dict[int, tuple[int, int, int, int]] = {}
     scope, outer = first, []
     for k in range(n - 1, 0, -1):
         j = mate[k]
@@ -701,11 +697,7 @@ def color_odd_subcubic(g: Graph, emb: OuterEmbedding) -> EdgeColoring:
             col[k - 1] = _LOWEST[rel[k - 1] >> 4 * scope & _NEXT[col[k]]]
         elif j < k:
             before = rel[j - 1] >> 4 * scope & 15
-            key = (before << 16 | rel[k - 1]) << 2 | col[k]
-            fit = fits.get(key)
-            if fit is None:
-                fit = fits[key] = _close_chord(before, rel[k - 1], col[k])
-            p, alpha, col[k - 1], chord_col[k] = fit
+            p, alpha, col[k - 1], chord_col[k] = _close_chord(before, rel[k - 1], col[k])
             col[j - 1] = p
             outer.append(scope)
             scope = alpha

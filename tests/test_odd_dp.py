@@ -4,7 +4,9 @@
 with maximum degree 3 and odd order. Each coloring here must pass
 `check_interval_coloring` with exactly 4 colors: on every chord set of
 C_n for odd n <= 13, on random graphs up to n = 1001, and on one graph
-of 100,001 vertices. The exhaustive check runs further as a script:
+of 100,001 vertices. The exhaustive run also bounds the per-process
+caches of the relation helpers by the relations reachable from the
+identity. The exhaustive check runs further as a script:
 
     PYTHONPATH=src python tests/test_odd_dp.py 19
 """
@@ -57,8 +59,37 @@ def check_all_chord_sets(n_max: int) -> int:
     return count
 
 
+def reachable_relations() -> set[int]:
+    """Every relation the program can hold: the closure of _IDENTITY
+    under both compositions, stepping past a degree-2 vertex and closing
+    a chord, computed with the uncached helpers."""
+    compose, jump = subcubic._compose.__wrapped__, subcubic._jump.__wrapped__
+    seen = {subcubic._IDENTITY}
+    frontier = list(seen)
+    while frontier:
+        r = frontier.pop()
+        found = {compose(r, subcubic._DIFFER_BY_ONE)}
+        for q in list(seen):
+            found |= {compose(q, jump(r)), compose(r, jump(q))}
+        frontier += found - seen
+        seen |= found
+    return seen
+
+
 def test_every_odd_chord_set_up_to_13():
+    caches = (subcubic._compose, subcubic._jump, subcubic._close_chord)
+    for cached in caches:
+        cached.cache_clear()
     assert check_all_chord_sets(13) == 5366
+    # the caches are keyed by reachable relations and colors only: a step
+    # or a chord's jump after each relation, and a chord's colors before
+    # it (a subset of the 4), its inside and the color after it
+    k = len(reachable_relations())
+    assert k == 27
+    compose, jump, close_chord = (cached.cache_info().currsize for cached in caches)
+    assert jump <= k
+    assert compose <= k + k * k
+    assert close_chord <= 16 * k * 4
 
 
 @pytest.mark.parametrize("n", [*range(5, 60, 2), 101, 201, 401, 1001])
@@ -72,10 +103,14 @@ def test_odd_order_at_100001():
 
 
 def test_a_miss_is_an_assertion(monkeypatch):
+    # the caches already hold every relation this graph reaches, so the
+    # patch below is seen only if nothing cached stands in for _jump
+    g = gen_random_outerplanar_subcubic(21, 0)
+    color_and_check(g)
     # no pair of colors fits around any chord, so the cycle cannot close
     monkeypatch.setattr(subcubic, "_jump", lambda inside: 0)
     with pytest.raises(AssertionError, match="no interval 4-coloring closes the cycle"):
-        color_optimal_subcubic(gen_random_outerplanar_subcubic(21, 0))
+        color_optimal_subcubic(g)
 
 
 def test_color_never_runs_the_peel_on_odd_order(capsys, monkeypatch):

@@ -215,9 +215,51 @@ def test_recognizer_matches_reference_on_seeded_corpus():
         reasons[key] = reasons.get(key, 0) + 1
         if isinstance(got, OuterEmbedding):
             assert bounded_faces(got) == reference_bounded_faces(got)
-    # the corpus reaches every verdict the recognizer gives. The replay
-    # only ever splits an edge of the walk, so the chords it leaves never
-    # cross; "crossing-chords" comes from verify_embedding alone
+    # the corpus reaches every verdict the recognizer gives. The reduction
+    # gets stuck on a Hamiltonian walk with crossing chords (it holds a
+    # subdivided K4), so "crossing-chords" comes from verify_embedding alone
+    assert set(reasons) == {
+        "accept", "too-small", "disconnected", "edge-bound",
+        "no-degree-2-vertex", "order-not-hamiltonian",
+    }, reasons
+
+
+def small_corpus():
+    """About 5,000 graphs at n <= 13: cycles plus random chords (crossing
+    or not) with edges dropped, outerplanar graphs with a crossing chord
+    added, and sparse random graphs, all relabelled. Small graphs put
+    several degree-2 vertices side by side, where the deletion order
+    could matter if anything did."""
+    rng = random.Random(20261019)
+    for _ in range(2000):
+        n = rng.randrange(3, 14)
+        edges = {norm_edge(i, (i + 1) % n) for i in range(n)}
+        pairs = [(u, v) for u in range(n) for v in range(u + 2, n) if (u, v) != (0, n - 1)]
+        edges |= set(rng.sample(pairs, rng.randrange(0, min(len(pairs), n) + 1)))
+        for e in rng.sample(sorted(edges), rng.randrange(0, 3)):
+            edges.discard(e)
+        yield _relabel(rng, n, edges)
+    for _ in range(1500):
+        n = rng.randrange(4, 14)
+        edges = _outerplanar(rng, n, rng.random())
+        if rng.random() < 0.5:
+            edges = _with_crossing_chords(rng, n, edges)
+        yield _relabel(rng, n, edges)
+    for _ in range(1500):
+        n = rng.randrange(1, 14)  # n < 3 is the one way to "too-small"
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        yield make_graph(n, rng.sample(pairs, rng.randrange(0, min(len(pairs), 2 * n) + 1)))
+
+
+def test_small_graphs_get_the_reference_verdict():
+    # the recognizer deletes degree-2 vertices in stack order, the
+    # reference in lowest-id order; the verdicts must still agree
+    reasons: dict[str, int] = {}
+    for g in small_corpus():
+        got = recognize_outerplanar_2connected(g)
+        assert got == reference_recognize(g), (g.n, sorted(g.edges))
+        key = "accept" if isinstance(got, OuterEmbedding) else got.reason
+        reasons[key] = reasons.get(key, 0) + 1
     assert set(reasons) == {
         "accept", "too-small", "disconnected", "edge-bound",
         "no-degree-2-vertex", "order-not-hamiltonian",
