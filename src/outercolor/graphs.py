@@ -80,6 +80,10 @@ class Graph:
             adj[v].append(u)
         return {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
 
+    @cached_property
+    def connected(self) -> bool:
+        return _search_connected(self)
+
     @property
     def m(self) -> int:
         return len(self.edges)
@@ -144,7 +148,12 @@ def neighbor_sets(g: Graph) -> list[set[int]]:
 def is_connected(g: Graph) -> bool:
     """True iff g is connected. A graph with fewer than n - 1 edges is
     answered False before its adjacency is built, so a huge header with
-    few edges costs nothing."""
+    few edges costs nothing. The answer is cached on the graph
+    (`Graph.connected`), so one graph is searched at most once."""
+    return g.connected
+
+
+def _search_connected(g: Graph) -> bool:
     if g.n == 0:
         return True
     if g.m < g.n - 1:

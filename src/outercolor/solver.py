@@ -18,7 +18,7 @@ from collections import deque
 from typing import NamedTuple
 
 from .coloring import EdgeColoring
-from .graphs import Edge, Graph, GraphError, is_connected, norm_edge
+from .graphs import Edge, Graph, GraphError, is_connected, neighbor_sets, norm_edge
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +155,8 @@ def _path_between(g: Graph, start_edge_end: int, first: int) -> list[int]:
 
 
 def has_triangle(g: Graph) -> bool:
-    for u, v in g.edges:
-        if set(g.neighbors(u)) & set(g.neighbors(v)):
-            return True
-    return False
+    adj = neighbor_sets(g)
+    return any(not adj[u].isdisjoint(adj[v]) for u, v in g.edges)
 
 
 def color_bound(g: Graph) -> tuple[int, str]:
@@ -211,8 +209,8 @@ def find_interval_coloring(
     Raises BudgetExceeded when a deadline (time.monotonic seconds) passes.
 
     The search is a loop over depth, not a recursion, so its depth is
-    bounded by memory only. Colors are bits of an int. Each vertex keeps
-    its palette and the mask of colors it can still take: the window
+    bounded by memory only. Colors are bits of an int. Each vertex has a
+    palette and the mask of colors it can still take: the window
     [max(1, hi - d + 1), min(t, lo + d - 1)] around its palette [lo, hi]
     (degree d), cut to any pinned palette, minus the palette. The
     candidates for edge uv are the common bits of u's and v's masks,
@@ -221,6 +219,22 @@ def find_interval_coloring(
     fewer edges left than colors not yet used. Neither cuts a branch that
     holds a coloring, so the first coloring found is the one plain
     backtracking over the same orders finds.
+
+    Each node reads one record per edge, built once per search: both
+    ends' degrees (and degrees - 1), the slots that hold their masks
+    before the edge, and the slots of the far ends of their later edges.
+    Coloring edge i with color k cuts each end's mask to the band
+    [k - d + 1, k + d - 1], since a palette's bands meet in its window,
+    and drops k. The two masks go to slots 2i and 2i + 1, which no
+    shallower node reads, and the color bit to color[i]. The colors used
+    so far are a prefix OR, counted only in the last t edges, so nothing
+    is undone on backtrack. The bits become color numbers once, when a
+    coloring is found. The search visits the same nodes, and finds the
+    same first coloring, as one that keeps a palette and a mask per
+    vertex and restores them on backtrack. The records hold the sum of
+    d(d - 1)/2 over the vertices' degrees d in slots: a few per vertex
+    at bounded degree, but about 8 million (64 MB) for the 3999 edges at
+    a 4000-fan's apex.
 
     Forced-color prune: if every degree is at least delta and
     t <= 2 * delta - 1, each palette [a, a + d - 1] has a <= t - d + 1 <=
@@ -248,33 +262,34 @@ def find_interval_coloring(
 
     edges = _bfs_edge_order(g)
     m = len(edges)
-    eu = [u for u, _ in edges]
-    ev = [v for _, v in edges]
-    # far[w]: the other ends of w's edges in search order; the uncolored
-    # edges at u after edge i are the ones past later_u[i] in far[u]
+    # slot 2m + w holds w's mask before any edge; last[w] is w's newest
+    # slot as the records are built in search order
+    last = list(range(2 * m, 2 * m + g.n))
+    free = [0] * (2 * m) + pin
     far: list[list[int]] = [[] for _ in range(g.n)]
-    later_u: list[int] = []
-    later_v: list[int] = []
     for u, v in edges:
         far[u].append(v)
         far[v].append(u)
-        later_u.append(len(far[u]))
-        later_v.append(len(far[v]))
+    slot = last.__getitem__
+    rec = []
+    for i, (u, v) in enumerate(edges):
+        far[u].pop(0)  # far[w] keeps the far ends of w's uncolored edges
+        far[v].pop(0)
+        rec.append((last[u], deg[u], deg[u] - 1, tuple(map(slot, far[u])),
+                    last[v], deg[v], deg[v] - 1, tuple(map(slot, far[v]))))
+        last[u] = 2 * i
+        last[v] = 2 * i + 1
 
-    pal = [0] * g.n
-    free = pin[:]
     cand = [0] * (m + 1)    # colors not yet tried at each depth
-    color = [0] * m
-    keep_u = [0] * m        # free masks of the endpoints before edge i
-    keep_v = [0] * m
-    use = [0] * (t + 1)
-    used = 0                # distinct colors on the colored edges
+    color = [0] * m         # the bit of each colored edge's color
+    seen = [0] * (m + 1)    # seen[i]: the colors of edges 0..i-1
+    tail = m - t            # past this depth, count the colors used
     nodes = 0
 
     # color-reversal symmetry: c -> t + 1 - c maps valid colorings to
     # valid colorings, so the first edge only needs the lower half
     first = everything if require_palettes else (2 << (t + 1) // 2) - 2
-    cand[0] = free[eu[0]] & free[ev[0]] & first
+    cand[0] = free[rec[0][0]] & free[rec[0][4]] & first
     i = 0
     while True:
         c = cand[i]
@@ -282,67 +297,48 @@ def find_interval_coloring(
             if i == 0:
                 return None
             i -= 1
-            u, v, k = eu[i], ev[i], color[i]
-            pal[u] ^= 1 << k
-            pal[v] ^= 1 << k
-            free[u] = keep_u[i]
-            free[v] = keep_v[i]
-            use[k] -= 1
-            if not use[k]:
-                used -= 1
             continue
         b = c & -c
         cand[i] = c ^ b
-        u, v = eu[i], ev[i]
-        # the new masks of u and v: window [hi - d + 1, lo + d - 1], with
-        # hi - d + 1 = p.bit_length() - d, cut to [1, t] by pin. The window
-        # test alone keeps palettes feasible: with hi - lo + 1 <= d, colors
-        # in [1, t] and d <= t, an interval of d colors fits over [lo, hi]
-        # inside [1, t], and a full palette of d distinct colors spans
-        # exactly d, so no separate fit or full-palette test is needed
-        p = pal[u] | b
-        d = deg[u]
-        lo = (p & -p).bit_length() - 1
-        fu = ((2 << (lo + d - 1)) - (1 << max(p.bit_length() - d, 0))) & pin[u] & ~p
-        p = pal[v] | b
-        d = deg[v]
-        lo = (p & -p).bit_length() - 1
-        fv = ((2 << (lo + d - 1)) - (1 << max(p.bit_length() - d, 0))) & pin[v] & ~p
+        su, du, du1, later_u, sv, dv, dv1, later_v = rec[i]
+        # the new masks of u and v: the old mask cut to the band
+        # [k - d + 1, k + d - 1] around the new color k, minus k. The
+        # window test alone keeps palettes feasible: with hi - lo + 1 <= d,
+        # colors in [1, t] and d <= t, an interval of d colors fits over
+        # [lo, hi] inside [1, t], and a full palette of d distinct colors
+        # spans exactly d, so no separate fit or full-palette test is
+        # needed. A band reaching below color 1 is cut at bit 0, which no
+        # mask holds
+        fu = (free[su] & ((b << du) - ((b >> du1) or 1))) ^ b
+        fv = (free[sv] & ((b << dv) - ((b >> dv1) or 1))) ^ b
         # forward check: every uncolored edge at u or v keeps a candidate
-        starved = False
-        for x in far[u][later_u[i]:]:
+        for x in later_u:
             if not fu & free[x]:
-                starved = True
                 break
         else:
-            for x in far[v][later_v[i]:]:
+            for x in later_v:
                 if not fv & free[x]:
-                    starved = True
                     break
-        if starved:
-            continue
-        nodes += 1
-        if not nodes & 1023 and deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded
-        keep_u[i] = free[u]
-        keep_v[i] = free[v]
-        pal[u] |= b
-        pal[v] |= b
-        free[u] = fu
-        free[v] = fv
-        k = b.bit_length() - 1
-        color[i] = k
-        use[k] += 1
-        if use[k] == 1:
-            used += 1
-        i += 1
-        # remaining edges must cover every color not yet used
-        if t - used > m - i:
-            cand[i] = 0
-        elif i == m:
-            return EdgeColoring(t, dict(zip(edges, color)))
-        else:
-            cand[i] = free[eu[i]] & free[ev[i]]
+            else:
+                nodes += 1
+                if not nodes & 1023 and deadline is not None and time.monotonic() > deadline:
+                    raise BudgetExceeded
+                j = i + i
+                free[j] = fu
+                free[j + 1] = fv
+                color[i] = b
+                used = seen[i] | b
+                i += 1
+                seen[i] = used
+                # remaining edges must cover every color not yet used
+                if i > tail and t - used.bit_count() > m - i:
+                    cand[i] = 0
+                elif i == m:
+                    return EdgeColoring(
+                        t, {e: k.bit_length() - 1 for e, k in zip(edges, color)})
+                else:
+                    r = rec[i]
+                    cand[i] = free[r[0]] & free[r[4]]
 
 
 def width(g: Graph, budget_ms: int | None = None) -> ColoringOutcome:

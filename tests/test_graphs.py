@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from outercolor.graphs import (
@@ -78,6 +80,24 @@ def test_is_connected_answers_sparse_headers_without_adjacency():
     g = read_edge_list("20000000 1\n0 1\n")
     assert not is_connected(g)
     assert "adjacency" not in vars(g)  # the cached property was never built
+
+
+def test_connected_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(5)
+    answers = set()
+    for k in range(300):
+        n = k % 12  # every size from 0 to 11, 25 graphs each
+        density = rng.choice((0.1, 0.25, 0.5))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+        g = make_graph(n, edges)
+        h = nx.Graph(edges)
+        h.add_nodes_from(range(n))
+        # networkx calls the null graph neither connected nor not
+        want = n == 0 or nx.is_connected(h)
+        assert g.connected == want == is_connected(g), (n, edges)
+        answers.add(want)
+    assert answers == {True, False}
 
 
 def test_gen_cycle_shape():

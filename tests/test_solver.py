@@ -13,8 +13,9 @@ from outercolor.graphs import (
     gen_triangular_fan,
     make_graph,
 )
-from outercolor import solver
+from outercolor import graphs, solver
 from outercolor.solver import (
+    BudgetExceeded,
     Colored,
     ExhaustedAllT,
     Inconclusive,
@@ -205,14 +206,20 @@ def test_width_triangle_free_reason():
         assert check_interval_coloring(g, out.coloring) is None
 
 
-def test_width_respects_budget():
+def _slow_subcubic():
     # a relabelled random subcubic graph on 100 vertices: the screen
     # misses it (it has degree-3 vertices), and the search at t = 3 runs
-    # past its first deadline poll
+    # for seconds
     g = gen_random_outerplanar_subcubic(100, 0)
     perm = list(range(g.n))
     random.Random(7).shuffle(perm)
-    g = make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    return make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def test_width_respects_budget():
+    # budget_ms=0 has passed by the time width first looks at the clock,
+    # so it answers before the search at t = 3 starts
+    g = _slow_subcubic()
     assert precheck(g) is None
     out = width(g, budget_ms=0)
     assert isinstance(out, Inconclusive)
@@ -220,6 +227,41 @@ def test_width_respects_budget():
     # the precheck settles T_{2,2,1} before the budget is looked at
     t221, _ = gen_triangle_graph(2, 2, 1)
     assert width(t221, budget_ms=0) == NotColorable(ParityCertificate(10, 13, (1, 2, 2)))
+
+
+def test_search_polls_its_deadline(monkeypatch):
+    # the search itself looks at the clock every 1024 nodes
+    g = _slow_subcubic()
+    with pytest.raises(BudgetExceeded):
+        find_interval_coloring(g, 3, deadline=time.monotonic())
+    calls = _count_searches(monkeypatch)
+    assert width(g, budget_ms=50) == Inconclusive(bound_exhausted_at=3)
+    assert len(calls) >= 1
+
+
+def test_width_checks_connectivity_once(monkeypatch):
+    # precheck and both per-t searches share one connectivity search
+    g = gen_random_outerplanar_subcubic(9, 3)
+    searched = []
+    search = graphs._search_connected
+
+    def counted(h):
+        searched.append(h.n)
+        return search(h)
+
+    tried = []
+    search_at = solver.find_interval_coloring
+
+    def search_at_t(h, t, **kwargs):
+        tried.append(t)
+        return search_at(h, t, **kwargs)
+
+    monkeypatch.setattr(graphs, "_search_connected", counted)
+    monkeypatch.setattr(solver, "find_interval_coloring", search_at_t)
+    out = width(g)
+    assert isinstance(out, Colored) and out.t == 4
+    assert tried == [3, 4]
+    assert searched == [9]
 
 
 def test_width_deterministic():
