@@ -56,10 +56,11 @@ if TYPE_CHECKING:
     # a command line as read by `_read_argv` or by argparse
     Args = SimpleNamespace | argparse.Namespace
 
-# A process loads the recognizer, the solver, the peel and the fan colorer
-# only when its command calls them, so `gen` and `verify` never import
-# them. The names this module uses from each are bound on first use as
-# globals here, and reached from outside as attributes of this module.
+# A process loads the recognizer, the solver, the subcubic constructions
+# and the fan colorer only when its command calls them, so `gen` and
+# `verify` never import them; no command loads the peel. The names this
+# module uses from each are bound on first use as globals here, and
+# reached from outside as attributes of this module.
 _LAZY = {
     "outerplanar": ("OuterEmbedding", "recognize_outerplanar_2connected"),
     "solver": (
@@ -71,11 +72,9 @@ _LAZY = {
         "find_interval_coloring",
         "width",
     ),
-    "subcubic": (
-        "ColoringPreconditionError",
-        "color_optimal_subcubic",
-        "color_subcubic_le4_traced",  # bound for the benchmark's tracer only
-    ),
+    "subcubic": ("ColoringPreconditionError", "color_optimal_subcubic"),
+    # no command calls the peel; the benchmark's tracer binds this name
+    "peel": ("color_subcubic_le4_traced",),
     "fan": ("color_fan", "separating_triangle_demo"),
 }
 

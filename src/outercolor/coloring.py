@@ -54,7 +54,9 @@ class EdgeColoring:
         # two bulk tests; only when one fails does the loop name the edge
         if not (all(starmap(lt, frozen)) and set(map(type, frozen.values())) <= {int}):
             for (u, v), c in frozen.items():
-                if u >= v:
+                if u == v:
+                    raise ColoringError(f"loop at vertex {u}")  # the edge-list parser's words
+                if u > v:
                     raise ColoringError(f"edge ({u}, {v}) not in (min, max) form")
                 if not isinstance(c, int) or isinstance(c, bool):
                     raise ColoringError(f"color {c!r} on edge ({u}, {v}) is not an int")

@@ -255,7 +255,7 @@ def test_gen_color_verify_pipeline(capsys, monkeypatch):
 
 
 def test_color_gives_an_even_cycle_two_colors(capsys, monkeypatch):
-    # an even cycle is the one kind of input `color` gives the peel
+    # an even cycle has no chords: the even construction gives it 2 colors
     _, graph_text, _ = run(["gen", "--family", "cycle", "--n", "6"], capsys)
     code, out, err = run(["color"], capsys, monkeypatch, stdin_text=graph_text)
     assert code == 0
@@ -540,7 +540,7 @@ def test_undecodable_coloring_json_is_one_line_error(command, doc, reason, capsy
         ({"t": 1, "edges": [[0, 1, 1], [2, 3]]}, "edge entry [2, 3] must be [u, v, color]"),
         ({"t": 1, "edges": [[0, 1, 1], [2, 3, True]]}, "edge entry [2, 3, True] must hold ints"),
         ({"t": 1, "edges": [[0, 1, 1], [1, 0, 1]]}, "duplicate edge (0, 1) in coloring JSON"),
-        ({"t": 1, "edges": [[0, 1, 1], [2, 2, 1]]}, "edge (2, 2) not in (min, max) form"),
+        ({"t": 1, "edges": [[0, 1, 1], [2, 2, 1]]}, "loop at vertex 2"),
         ({"t": 0, "edges": [[0, 1, 1]]}, "t must be >= 1, got 0"),
         ({"t": 1, "edges": [[-2, 0, 1]]}, "edge (-2, 0) out of range for n=1"),
         ({"t": 1, "edges": [[-3, -2, 1]]}, "vertex count must be nonnegative, got -1"),
@@ -982,3 +982,39 @@ def test_each_command_loads_only_its_modules(argv, stdin_text, loads, code, tmp_
     assert program == {f"outercolor.{name}" for name in {"coloring", "graphs"} | loads}
     assert "dataclasses" not in loaded
     assert ("argparse" in loaded) == ("-h" in argv or code == 2)
+
+
+# run in a fresh interpreter: `color` on each edge list on stdin, in
+# turn, then the names of the loaded modules
+COLOR_EACH = """\
+import io, json, sys
+from outercolor.cli import main
+
+for text in json.loads(sys.argv[1]):
+    sys.stdin, sys.stdout = io.StringIO(text), io.StringIO()
+    code = main(["color"])
+    sys.stdin, sys.stdout = sys.__stdin__, sys.__stdout__
+    assert code == 0, code
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_color_never_loads_the_peel():
+    # an odd and an even max-degree-3 graph and an even cycle: each takes
+    # one construction, so the peel, its heaps and the solver it calls
+    # are never loaded, and a process that writes no bytecode never
+    # compiles them
+    texts = [
+        write_edge_list(gen_random_outerplanar_subcubic(25, 1)),
+        write_edge_list(gen_random_outerplanar_subcubic(26, 1)),
+        write_edge_list(gen_cycle(6)),
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", COLOR_EACH, json.dumps(texts)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert "outercolor.subcubic" in loaded
+    assert loaded & {"outercolor.peel", "heapq", "outercolor.solver"} == set()

@@ -3,12 +3,15 @@
 Each entry is the exit code and the SHA-256 of stdout of one CLI call on
 a fixed input: random max-degree-3 outerplanar graphs at odd and even
 order, relabelled; the fan of `gen --family tf --n 257`, which `color`
-declines for its degree; and two rejections, K_{2,3} and C_6 with two
-crossing chords. A change to recognition or to a construction that
-moves a single byte of output fails here. The hashes were recorded while
-the recognizer still deleted the lowest-id degree-2 vertex first, and
-before the odd-order helpers were cached, so they also pin that neither
-change moved any output.
+declines for its degree; two rejections, K_{2,3} and C_6 with two
+crossing chords; and the cycles C_6, C_40 relabelled and C_5, for
+`color` only. A change to recognition or to a construction that moves a
+single byte of output fails here. The hashes were recorded while the
+recognizer still deleted the lowest-id degree-2 vertex first, and before
+the odd-order helpers were cached, so they also pin that neither change
+moved any output. The cycle hashes were recorded while the peel still
+colored even cycles, so they pin that the even construction gives them
+the same bytes.
 """
 
 import hashlib
@@ -20,6 +23,7 @@ import pytest
 
 from outercolor.cli import main
 from outercolor.graphs import (
+    gen_cycle,
     gen_random_outerplanar_subcubic,
     gen_triangular_fan,
     make_graph,
@@ -39,6 +43,9 @@ def _inputs():
     yield "fan-257", gen_triangular_fan(257)[0]
     yield "k23", make_graph(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
     yield "crossing", make_graph(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3), (1, 4)])
+    yield "cycle-6", gen_cycle(6)
+    yield "cycle-40", _relabelled(gen_cycle(40), 40)
+    yield "cycle-5", gen_cycle(5)
 
 
 INPUTS = dict(_inputs())
@@ -58,6 +65,9 @@ GOLDEN = {
     ("k23", "recognize"): (1, "6b0d2d780747418495e35257ee314326c31a2287643b9d4c503f86ade9a5c66f"),
     ("crossing", "color"): (1, "8bd8ef22bbbe8042f465a0f6572fbe71872a4d8cfb7a627598563a53fb44d992"),
     ("crossing", "recognize"): (1, "915c95ec3f462b73b8c5000d72830268317eb610b87024c8af514f95ad192a29"),
+    ("cycle-6", "color"): (0, "ae293af185684fc456ad76501e6427d7af214f4a0cafb18ac7651b2bebe74c3a"),
+    ("cycle-40", "color"): (0, "4e971cb38f57aa1c7b82a2bc8cc2b9eeb3e105bb716908efd93b9ef2c417223f"),
+    ("cycle-5", "color"): (1, "7f7ae940a77d5d5e7a8b5f5fa76e84b890c34136999d0ca7c2c1698dd2ef1e7b"),
 }
 
 

@@ -7,13 +7,17 @@ are matched by identifier: a `Name` or an attribute anywhere in `src/`
 outside the definition itself counts as a reference, and an import
 alone does not.
 
-Exempt are the entry point `cli.main` and the (module, attribute) pairs
-that `perfbench/tracing.py` binds in `SITES` and `PEEL_SITE`: the
-benchmark's tracer wraps them by name, so they must exist whether or not
-the program calls them. The tracer file is read with `ast`, not run.
+Exempt are the entry point `cli.main` and the functions that
+`perfbench/tracing.py` binds in `SITES` and `PEEL_SITE`: the benchmark's
+tracer wraps them by name, so they must exist whether or not the program
+calls them. Each is exempt at the module it is bound on and at the one
+that defines it, which differ for a name that a module hands out from
+another (`subcubic.find_reducible_config` is defined in `peel`). The
+tracer file is read with `ast`, not run.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,6 +36,8 @@ def bound_by_tracer() -> set[tuple[str, str]]:
             for site in sites:
                 module, attr = (e.value for e in site.elts[:2])
                 pairs.add((module.removeprefix("outercolor."), attr))
+                home = getattr(importlib.import_module(module), attr).__module__
+                pairs.add((home.removeprefix("outercolor."), attr))
     return pairs
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import outercolor.peel
 from outercolor import subcubic
 from outercolor.coloring import check_interval_coloring
 from outercolor.graphs import (
@@ -153,10 +154,15 @@ def test_even_hamiltonian_preconditions():
     emb = recognize_outerplanar_2connected(g)
     with pytest.raises(ColoringPreconditionError):
         color_even_hamiltonian(g, emb)  # odd order
+    fan6, _ = gen_triangular_fan(6)
+    emb6 = recognize_outerplanar_2connected(fan6)
+    with pytest.raises(ColoringPreconditionError, match="max degree must be 2 or 3"):
+        color_even_hamiltonian(fan6, emb6)  # max degree 5
+    # an even cycle has no chords and gets 2 colors
     c6 = gen_cycle(6)
-    emb6 = recognize_outerplanar_2connected(c6)
-    with pytest.raises(ColoringPreconditionError):
-        color_even_hamiltonian(c6, emb6)  # max degree 2
+    col = color_even_hamiltonian(c6, recognize_outerplanar_2connected(c6))
+    assert col.t == 2
+    assert check_interval_coloring(c6, col) is None
 
 
 def test_optimal_even_is_three():
@@ -217,7 +223,8 @@ def test_precondition_errors():
             entry(fan5)
         with pytest.raises(ColoringPreconditionError, match="not a 2-connected"):
             entry(make_graph(4, [(0, 1), (2, 3)]))
-    # an even cycle, max degree 2, goes to the peel and gets 2 colors
+    # an even cycle, max degree 2, takes the even construction and gets
+    # the 2-coloring the peel gives it
     rng = random.Random(6)
     cycles = [gen_cycle(6)]
     for n in range(4, 41, 2):
@@ -318,14 +325,14 @@ def test_wrong_splice_color_fails_at_its_depth(monkeypatch, rule, case):
         if {"Case11", "Case12", "Case2"} <= {s.case for s in steps}:
             break
     depth = max(s.depth for s in steps if s.case == case)
-    original = getattr(subcubic, rule)
+    original = getattr(outercolor.peel, rule)
 
     def faulty(peel, u, v, x_or_w, *rest):
         original(peel, u, v, x_or_w, *rest)
         # uv takes the color of u's other restored edge: u is not proper
         peel.paint(u, v, peel.at[u][x_or_w])
 
-    monkeypatch.setattr(subcubic, rule, faulty)
+    monkeypatch.setattr(outercolor.peel, rule, faulty)
     with pytest.raises(AssertionError, match=rf"{case} splice at depth {depth}: not-proper"):
         color_subcubic_le4_traced(g)
 
@@ -351,13 +358,13 @@ def c9_two_chords():
     ids=["uncolored", "gap", "extra-edge", "moved-edge"],
 )
 def test_each_splice_check_names_its_fault(monkeypatch, fault, found):
-    original = subcubic._splice_pair_new_edge
+    original = outercolor.peel._splice_pair_new_edge
 
     def faulty(peel, u, v, x, y):
         original(peel, u, v, x, y)
         fault(peel, u, v, x, y)
 
-    monkeypatch.setattr(subcubic, "_splice_pair_new_edge", faulty)
+    monkeypatch.setattr(outercolor.peel, "_splice_pair_new_edge", faulty)
     with pytest.raises(AssertionError) as exc:
         color_subcubic_le4_traced(c9_two_chords())
     assert str(exc.value) == f"splice broke the coloring at Case11 splice at depth 0: {found}"
