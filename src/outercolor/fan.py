@@ -167,7 +167,7 @@ def separating_triangle_demo(n: int) -> FanReport:
     emb = recognize_outerplanar_2connected(g)
     if not isinstance(emb, OuterEmbedding):
         raise AssertionError(f"fan graph failed recognition: {emb.reason}")
-    tris = tuple(separating_triangles(g, emb))
+    tris = tuple(separating_triangles(emb))
     if len(tris) != n - 4:
         raise AssertionError(f"expected {n - 4} separating triangles, found {len(tris)}")
     col = color_fan(n, g)

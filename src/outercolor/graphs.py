@@ -82,6 +82,10 @@ class Graph:
 
     @cached_property
     def connected(self) -> bool:
+        """True iff the graph is connected. Fewer than n - 1 edges is
+        answered False before the adjacency is built, so a huge header
+        with few edges costs nothing. Cached, so one graph is searched at
+        most once."""
         return _search_connected(self)
 
     @property
@@ -98,9 +102,6 @@ class Graph:
     def max_degree(self) -> int:
         # counted from the edge endpoints, so the adjacency is not built
         return max(Counter(chain.from_iterable(self.edges)).values(), default=0)
-
-    def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
 
     def has_edge(self, u: int, v: int) -> bool:
         return norm_edge(u, v) in self.edges
@@ -143,14 +144,6 @@ def neighbor_sets(g: Graph) -> list[set[int]]:
         adj[u].add(v)
         adj[v].add(u)
     return adj
-
-
-def is_connected(g: Graph) -> bool:
-    """True iff g is connected. A graph with fewer than n - 1 edges is
-    answered False before its adjacency is built, so a huge header with
-    few edges costs nothing. The answer is cached on the graph
-    (`Graph.connected`), so one graph is searched at most once."""
-    return g.connected
 
 
 def _search_connected(g: Graph) -> bool:
@@ -306,7 +299,7 @@ def read_edge_list(text: str) -> Graph:
 
 def write_edge_list(g: Graph) -> str:
     lines = [f"{g.n} {g.m}"]
-    lines += [f"{u} {v}" for u, v in g.sorted_edges()]
+    lines += [f"{u} {v}" for u, v in sorted(g.edges)]
     return "\n".join(lines) + "\n"
 
 
@@ -322,7 +315,7 @@ def write_dot(g: Graph, coloring: dict[Edge, int] | None = None) -> str:
     lines = ["graph {"]
     for v in sorted({v for e in g.edges for v in e}):
         lines.append(f"  {v};")
-    for u, v in g.sorted_edges():
+    for u, v in sorted(g.edges):
         if coloring is None:
             lines.append(f"  {u} -- {v};")
         else:

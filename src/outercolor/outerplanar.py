@@ -6,16 +6,15 @@ repeatedly deleting degree-2 vertices, replays the deletions to rebuild
 the outer cycle, and then verifies the result from scratch. The replay
 can produce garbage on non-outerplanar inputs; the final verification is
 what makes acceptance sound. The reduction and the replay take O(n + m)
-time, the verification's chord sort O(m log m), and face extraction
-O((n + m) log n).
+time, the verification's chord sort O(m log m), and the separating
+triangles O(m) plus a sort.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import NamedTuple
 
-from .graphs import Edge, Graph, is_connected, neighbor_sets
+from .graphs import Edge, Graph, neighbor_sets
 
 
 class OuterEmbedding(NamedTuple):
@@ -29,9 +28,6 @@ class OuterEmbedding(NamedTuple):
 
     order: tuple[int, ...]
     chords: frozenset[Edge]
-
-    def positions(self) -> dict[int, int]:
-        return {v: i for i, v in enumerate(self.order)}
 
 
 class Rejection(NamedTuple):
@@ -92,7 +88,7 @@ def verify_embedding(g: Graph, order: list[int]) -> OuterEmbedding | Rejection:
 
 def _reject(g: Graph, reason: str) -> Rejection:
     # "disconnected" comes before every later reason
-    return Rejection(reason if is_connected(g) else "disconnected")
+    return Rejection(reason if g.connected else "disconnected")
 
 
 def recognize_outerplanar_2connected(g: Graph) -> OuterEmbedding | Rejection:
@@ -182,63 +178,23 @@ def recognize_outerplanar_2connected(g: Graph) -> OuterEmbedding | Rejection:
     return verify_embedding(g, order)
 
 
-def bounded_faces(emb: OuterEmbedding) -> list[tuple[int, ...]]:
-    """All bounded faces, each as a tuple of vertex ids along the face.
+def separating_triangles(emb: OuterEmbedding) -> list[tuple[int, int, int]]:
+    """Triangles whose three edges are all chords, as ascending vertex
+    triples, list sorted.
 
-    The chords split the outer polygon into nested regions; non-crossing
-    makes the split well-defined. Regions are visited depth-first from an
-    explicit stack, so nesting depth is not bounded by the call stack.
-    Faces are emitted in that visiting order, as position-ascending walks
-    mapped back to vertex ids. Each step of a walk finds its chord by
-    bisection, so the whole pass takes O((n + m) log n) time.
+    No vertex lies inside a triangle of an outerplanar graph, so every
+    triangle is a bounded face and the chords alone give the answer: each
+    chord (u, v), u < v, with each common chord neighbor w > v, so each
+    triangle comes out once. A set intersection walks the smaller set, and
+    the smaller degree summed over the edges is O(m) in a graph of
+    arboricity 2, which an outerplanar graph has (Chiba and Nishizeki,
+    1985). So the pass is O(m) plus the sort.
     """
-    n = len(emb.order)
-    pos = emb.positions()
-    # chords indexed by lower position endpoint, upper endpoints ascending
-    by_low: dict[int, list[int]] = {}
-    for p, q in sorted(sorted((pos[u], pos[v])) for u, v in emb.chords):
-        by_low.setdefault(p, []).append(q)
-
-    faces: list[list[int]] = []
-    regions = [(0, n - 1)]
-    while regions:
-        # region bounded by positions lo..hi along the polygon plus the
-        # closing edge (lo, hi); walk the face incident to that edge
-        lo, hi = regions.pop()
-        walk = [lo]
-        p = lo
-        while p < hi:
-            # the longest chord from p that stays in the region and is not
-            # the closing edge itself, else the next polygon edge
-            jumps = by_low.get(p, ())
-            i = bisect_right(jumps, hi) - 1
-            if i >= 0 and p == lo and jumps[i] == hi:
-                i -= 1
-            p = jumps[i] if i >= 0 else p + 1
-            walk.append(p)
-        faces.append(walk)
-        # pushed in reverse so the leftmost sub-region is walked next
-        regions.extend((a, b) for a, b in reversed(list(zip(walk, walk[1:]))) if b - a >= 2)
-    order = emb.order
-    return [tuple(order[p] for p in walk) for walk in faces]
-
-
-def separating_triangles(g: Graph, emb: OuterEmbedding) -> list[tuple[int, int, int]]:
-    """Triangular bounded faces whose three edges are all chords.
-
-    Returned as ascending vertex triples, list sorted.
-    """
-    n = len(emb.order)
-    pos = emb.positions()
-    out: list[tuple[int, int, int]] = []
-    for face in bounded_faces(emb):
-        if len(face) != 3:
-            continue
-        ps = sorted(pos[v] for v in face)
-        gaps_ok = (ps[1] - ps[0] >= 2) and (ps[2] - ps[1] >= 2)
-        closing_is_chord = not (ps[0] == 0 and ps[2] == n - 1)
-        if gaps_ok and closing_is_chord:
-            a, b, c = sorted(face)
-            out.append((a, b, c))
+    near: dict[int, set[int]] = {}
+    for u, v in emb.chords:
+        near.setdefault(u, set()).add(v)
+        near.setdefault(v, set()).add(u)
+    out = []
+    for u, v in emb.chords:  # u < v, as every Edge
+        out += [(u, v, w) for w in near[u] & near[v] if w > v]
     return sorted(out)
-

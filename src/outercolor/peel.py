@@ -105,7 +105,7 @@ def find_reducible_config(g: Graph) -> ReducibleConfig:
     the precondition. The peel does not call this scan: its heaps make
     the same pick level by level, and the tests hold them to this one.
     """
-    for u, v in g.sorted_edges():
+    for u, v in sorted(g.edges):
         if g.degree(u) == 2 and g.degree(v) == 2:
             x = next(w for w in g.neighbors(u) if w != v)
             y = next(w for w in g.neighbors(v) if w != u)

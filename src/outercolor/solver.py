@@ -18,7 +18,7 @@ from collections import deque
 from typing import NamedTuple
 
 from .coloring import EdgeColoring
-from .graphs import Edge, Graph, GraphError, is_connected, neighbor_sets, norm_edge
+from .graphs import Edge, Graph, GraphError, neighbor_sets, norm_edge
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +78,7 @@ class BudgetExceeded(Exception):
 def _require_connected(g: Graph) -> None:
     if g.n == 0 or g.m == 0:
         raise GraphError("solver needs a nonempty connected graph")
-    if not is_connected(g):
+    if not g.connected:
         raise GraphError("solver needs a connected graph")
 
 
@@ -207,6 +207,8 @@ def find_interval_coloring(
     vertex degree); color-reversal symmetry breaking is disabled in that
     case because reversal does not preserve the pinned palettes.
     Raises BudgetExceeded when a deadline (time.monotonic seconds) passes.
+    The deadline is polled once every 1024 records as they are built, and
+    once every 1024 nodes of the search.
 
     The search is a loop over depth, not a recursion, so its depth is
     bounded by memory only. Colors are bits of an int. Each vertex has a
@@ -273,6 +275,9 @@ def find_interval_coloring(
     slot = last.__getitem__
     rec = []
     for i, (u, v) in enumerate(edges):
+        # at a high degree the records alone can outlast a budget
+        if not i & 1023 and deadline is not None and time.monotonic() > deadline:
+            raise BudgetExceeded
         far[u].pop(0)  # far[w] keeps the far ends of w's uncolored edges
         far[v].pop(0)
         rec.append((last[u], deg[u], deg[u] - 1, tuple(map(slot, far[u])),

@@ -9,7 +9,6 @@ from outercolor.graphs import (
     gen_random_outerplanar_subcubic,
     gen_triangle_graph,
     gen_triangular_fan,
-    is_connected,
     make_graph,
     read_edge_list,
     write_dot,
@@ -20,7 +19,6 @@ from outercolor.graphs import (
 def test_make_graph_normalizes_edge_order():
     g = make_graph(3, [(2, 0), (0, 1)])
     assert g.edges == frozenset({(0, 2), (0, 1)})
-    assert g.sorted_edges() == [(0, 1), (0, 2)]
 
 
 def test_make_graph_rejects_loop():
@@ -70,15 +68,15 @@ def test_adjacency_and_degree():
 
 
 def test_is_connected():
-    assert is_connected(make_graph(3, [(0, 1), (1, 2)]))
-    assert not is_connected(make_graph(4, [(0, 1), (2, 3)]))
-    assert is_connected(make_graph(0, []))
-    assert not is_connected(make_graph(2, []))
+    assert make_graph(3, [(0, 1), (1, 2)]).connected
+    assert not make_graph(4, [(0, 1), (2, 3)]).connected
+    assert make_graph(0, []).connected
+    assert not make_graph(2, []).connected
 
 
 def test_is_connected_answers_sparse_headers_without_adjacency():
     g = read_edge_list("20000000 1\n0 1\n")
-    assert not is_connected(g)
+    assert not g.connected
     assert "adjacency" not in vars(g)  # the cached property was never built
 
 
@@ -95,7 +93,7 @@ def test_connected_matches_networkx():
         h.add_nodes_from(range(n))
         # networkx calls the null graph neither connected nor not
         want = n == 0 or nx.is_connected(h)
-        assert g.connected == want == is_connected(g), (n, edges)
+        assert g.connected == want, (n, edges)
         answers.add(want)
     assert answers == {True, False}
 
@@ -176,7 +174,7 @@ def test_random_family_shape():
             # cycle edges all present
             for i in range(n):
                 assert g.has_edge(i, (i + 1) % n)
-            chords = [e for e in g.sorted_edges() if (e[1] - e[0]) % n not in (1, n - 1)]
+            chords = [e for e in sorted(g.edges) if (e[1] - e[0]) % n not in (1, n - 1)]
             # chords vertex-disjoint: degree cap already implies it
             ends = [v for e in chords for v in e]
             assert len(ends) == len(set(ends))

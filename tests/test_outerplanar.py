@@ -10,7 +10,6 @@ from outercolor.graphs import (
 from outercolor.outerplanar import (
     OuterEmbedding,
     Rejection,
-    bounded_faces,
     recognize_outerplanar_2connected,
     separating_triangles,
     verify_embedding,
@@ -20,7 +19,7 @@ from outercolor.subcubic import NoConfigError, PairConfig, TriangleConfig, find_
 
 def crossings_bruteforce(emb: OuterEmbedding) -> int:
     # independent quadratic re-check of the non-crossing invariant
-    pos = emb.positions()
+    pos = {v: i for i, v in enumerate(emb.order)}
     placed = [tuple(sorted((pos[u], pos[v]))) for u, v in emb.chords]
     count = 0
     for i, (p, q) in enumerate(placed):
@@ -143,25 +142,11 @@ def test_verify_embedding_canonicalizes():
     assert emb.order == (0, 1, 2, 3, 4)
 
 
-def test_bounded_faces_count_is_euler():
-    for n in range(4, 12):
-        for seed in range(6):
-            g = gen_random_outerplanar_subcubic(n, seed)
-            emb = recognize_outerplanar_2connected(g)
-            faces = bounded_faces(emb)
-            assert len(faces) == g.m - g.n + 1
-            for face in faces:
-                k = len(face)
-                assert k >= 3
-                for i in range(k):
-                    assert g.has_edge(face[i], face[(i + 1) % k])
-
-
 def test_separating_triangles_on_fans():
     for n in range(3, 12):
         g, labels = gen_triangular_fan(n)
         emb = recognize_outerplanar_2connected(g)
-        tris = separating_triangles(g, emb)
+        tris = separating_triangles(emb)
         assert len(tris) == (n - 4 if n >= 5 else 0)
         names = {v: name for v, name in labels.items()}
         for a, b, c in tris:
@@ -174,7 +159,7 @@ def test_separating_triangles_on_fans():
 def test_separating_triangles_chord_square_empty():
     g = make_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     emb = recognize_outerplanar_2connected(g)
-    assert separating_triangles(g, emb) == []
+    assert separating_triangles(emb) == []
 
 
 def test_config_pair_on_chorded_hexagon():

@@ -7,6 +7,10 @@ return the same embedding or the same rejection reason on every input.
 networkx is the second oracle: G is outerplanar iff G plus an apex vertex
 adjacent to every vertex is planar, and 2-connectivity is
 `nx.is_biconnected`.
+
+Separating triangles are checked against a reference face walk: they
+must be exactly its triangular faces whose three edges are all chords,
+and removing each one's vertices must disconnect the graph.
 """
 
 import random
@@ -15,22 +19,21 @@ import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from outercolor import outerplanar
+from outercolor import graphs
 from outercolor.graphs import (
     Graph,
     gen_cycle,
     gen_random_outerplanar_subcubic,
     gen_triangle_graph,
     gen_triangular_fan,
-    is_connected,
     make_graph,
     norm_edge,
 )
 from outercolor.outerplanar import (
     OuterEmbedding,
     Rejection,
-    bounded_faces,
     recognize_outerplanar_2connected,
+    separating_triangles,
     verify_embedding,
 )
 
@@ -66,7 +69,7 @@ def _reference_verify(g: Graph, order: list[int]) -> OuterEmbedding | Rejection:
 def reference_recognize(g: Graph) -> OuterEmbedding | Rejection:
     if g.n < 3:
         return Rejection("too-small")
-    if not is_connected(g):
+    if not g.connected:
         return Rejection("disconnected")
     if g.m > 2 * g.n - 3:
         return Rejection("edge-bound")
@@ -100,7 +103,7 @@ def reference_recognize(g: Graph) -> OuterEmbedding | Rejection:
 
 def reference_bounded_faces(emb: OuterEmbedding) -> list[tuple[int, ...]]:
     n = len(emb.order)
-    pos = emb.positions()
+    pos = {v: i for i, v in enumerate(emb.order)}
     by_low: dict[int, list[int]] = {}
     for u, v in emb.chords:
         p, q = sorted((pos[u], pos[v]))
@@ -118,6 +121,41 @@ def reference_bounded_faces(emb: OuterEmbedding) -> list[tuple[int, ...]]:
         faces.append(walk)
         regions.extend((a, b) for a, b in reversed(list(zip(walk, walk[1:]))) if b - a >= 2)
     return [tuple(emb.order[p] for p in walk) for walk in faces]
+
+
+def reference_separating_triangles(emb: OuterEmbedding) -> list[tuple[int, int, int]]:
+    """The triangular faces whose three edges are all chords."""
+    out = []
+    for face in reference_bounded_faces(emb):
+        if len(face) == 3 and all(
+            norm_edge(a, b) in emb.chords for a, b in zip(face, face[1:] + face[:1])
+        ):
+            a, b, c = sorted(face)
+            out.append((a, b, c))
+    return sorted(out)
+
+
+def assert_triangles_match_reference_faces(g: Graph, emb: OuterEmbedding) -> int:
+    """separating_triangles(emb) equals the reference, and removing each
+    triangle's vertices disconnects g; returns the triangle count."""
+    tris = separating_triangles(emb)
+    assert tris == reference_separating_triangles(emb), (g.n, sorted(g.edges))
+    adj: dict[int, list[int]] = {v: [] for v in range(g.n)}
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    for tri in tris:
+        # a search from one vertex outside the triangle misses another
+        seen = set(tri)
+        stack = [next(v for v in range(g.n) if v not in seen)]
+        seen.add(stack[0])
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        assert len(seen) < g.n, (tri, g.n, sorted(g.edges))
+    return len(tris)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +252,7 @@ def test_recognizer_matches_reference_on_seeded_corpus():
         key = "accept" if isinstance(got, OuterEmbedding) else got.reason
         reasons[key] = reasons.get(key, 0) + 1
         if isinstance(got, OuterEmbedding):
-            assert bounded_faces(got) == reference_bounded_faces(got)
+            assert_triangles_match_reference_faces(g, got)
     # the corpus reaches every verdict the recognizer gives. The reduction
     # gets stuck on a Hamiltonian walk with crossing chords (it holds a
     # subdivided K4), so "crossing-chords" comes from verify_embedding alone
@@ -270,9 +308,8 @@ def test_accepting_never_searches_connectivity(monkeypatch):
     # an accepted walk is a Hamiltonian cycle, so only a rejection may
     # pay for the connectivity search
     searched = []
-    monkeypatch.setattr(
-        outerplanar, "is_connected", lambda g: searched.append(g) or is_connected(g)
-    )
+    search = graphs._search_connected
+    monkeypatch.setattr(graphs, "_search_connected", lambda g: searched.append(g) or search(g))
     verdicts = set()
     for g in corpus():
         searched.clear()
@@ -303,14 +340,33 @@ def test_verify_embedding_matches_reference():
     assert set(reasons) == {"accept", "order-not-hamiltonian", "crossing-chords"}, reasons
 
 
-def test_bounded_faces_match_reference_on_fans_and_triangulations():
+def test_separating_triangles_match_reference_on_fans_and_triangulations():
     rng = random.Random(7)
-    graphs = [gen_triangular_fan(n)[0] for n in range(3, 120, 7)]
-    graphs += [_relabel(rng, n, _triangulated_polygon(rng, n)) for n in range(3, 300, 11)]
-    for g in graphs:
+    shapes = [gen_triangular_fan(n)[0] for n in range(3, 121)]
+    for n in range(3, 301, 11):
+        tri = _triangulated_polygon(rng, n)
+        shapes.append(_relabel(rng, n, tri))
+        cycle = {norm_edge(i, (i + 1) % n) for i in range(n)}
+        shapes.append(_relabel(rng, n, cycle | {e for e in tri - cycle if rng.random() < 0.8}))
+    found = 0
+    for g in shapes:
         emb = recognize_outerplanar_2connected(g)
         assert isinstance(emb, OuterEmbedding)
-        assert bounded_faces(emb) == reference_bounded_faces(emb)
+        found += assert_triangles_match_reference_faces(g, emb)
+    assert found > 1000
+
+
+def test_separating_triangles_of_the_100000_fan():
+    n = 100_000
+    g, _ = gen_triangular_fan(n)
+    # the fan's outer walk u, v1, w1, v2, ..., w_{n-2}, v_{n-1}, checked
+    # by the verifier in place of a recognition
+    order = [0] + [x for i in range(1, n - 1) for x in (i, n - 1 + i)] + [n - 1]
+    emb = verify_embedding(g, order)
+    assert isinstance(emb, OuterEmbedding)
+    tris = separating_triangles(emb)
+    assert len(tris) == n - 4
+    assert tris == [(0, i, i + 1) for i in range(2, n - 2)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import random
 import time
+import tracemalloc
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,7 +33,7 @@ from outercolor.solver import (
 
 def brute_force_exists(g, t):
     # independent oracle: enumerate every assignment of t colors
-    edges = g.sorted_edges()
+    edges = sorted(g.edges)
     for colors in product(range(1, t + 1), repeat=len(edges)):
         from outercolor.coloring import EdgeColoring
 
@@ -230,13 +232,39 @@ def test_width_respects_budget():
 
 
 def test_search_polls_its_deadline(monkeypatch):
-    # the search itself looks at the clock every 1024 nodes
+    # the search itself looks at the clock every 1024 nodes: a clock that
+    # passes the deadline only after the records' one poll still stops it
     g = _slow_subcubic()
-    with pytest.raises(BudgetExceeded):
-        find_interval_coloring(g, 3, deadline=time.monotonic())
+    reads = []
+
+    def clock():
+        reads.append(None)
+        return 0.0 if len(reads) == 1 else 2.0
+
+    with monkeypatch.context() as patched:
+        patched.setattr(solver, "time", SimpleNamespace(monotonic=clock))
+        with pytest.raises(BudgetExceeded):
+            find_interval_coloring(g, 3, deadline=1.0)
+    assert len(reads) == 2
     calls = _count_searches(monkeypatch)
     assert width(g, budget_ms=50) == Inconclusive(bound_exhausted_at=3)
     assert len(calls) >= 1
+
+
+def test_records_poll_the_deadline():
+    # the 3000-fan's apex has degree 2999, so the search's records would
+    # hold about 4.5 million slots; a deadline that has passed stops their
+    # build before they take that memory
+    g, _ = gen_triangular_fan(3000)
+    t = g.max_degree
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            find_interval_coloring(g, t, deadline=time.monotonic())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, peak
 
 
 def test_width_checks_connectivity_once(monkeypatch):

@@ -33,7 +33,7 @@ from outercolor.subcubic import color_subcubic_le4_traced
 
 
 def reference_check(g: Graph, coloring: EdgeColoring) -> Violation | None:
-    for e in g.sorted_edges():
+    for e in sorted(g.edges):
         if e not in coloring.assignment:
             return Violation("uncolored-edge", edge=e)
     for e in sorted(coloring.assignment):
@@ -57,7 +57,7 @@ def reference_check(g: Graph, coloring: EdgeColoring) -> Violation | None:
 
 
 def sorted_scan_check(g: Graph, coloring: EdgeColoring) -> Violation | None:
-    for e in g.sorted_edges():
+    for e in sorted(g.edges):
         if e not in coloring.assignment:
             return Violation("uncolored-edge", edge=e)
     for e in sorted(coloring.assignment):
