@@ -1,12 +1,12 @@
 """Interval colorings of triangular fans using exactly max-degree colors.
 
 Small fans (n <= 8) come from a base table that the exact solver derives
-under constraints on first use, once per process; larger fans grow from
-the n=7 or n=8 entry by repeating a fixed local recoloring-free
-extension step that adds one fan cell pair and eight edges per step.
-Every produced coloring is re-validated, and since any interval coloring
-needs at least max-degree colors, hitting exactly that many certifies
-the fan's width.
+under constraints on first use, once per process; a larger fan is the
+n=7 or n=8 entry with its w ids shifted, grown by a fixed local
+recoloring-free step that adds one fan cell pair and eight edges, each
+colored in closed form in the step index. Every produced coloring is
+re-validated, and since any interval coloring needs at least max-degree
+colors, hitting exactly that many certifies the fan's width.
 
 The table entries for n=7 and n=8 are not arbitrary: the extension step
 reads the palettes at the apex and at the last fan vertex, so the search
@@ -21,11 +21,12 @@ from functools import cache
 from typing import NamedTuple
 
 from .coloring import EdgeColoring, check_interval_coloring
-from .graphs import Edge, Graph, gen_triangular_fan, norm_edge
+from .graphs import Graph, gen_triangular_fan
 from .outerplanar import (
     OuterEmbedding,
-    recognize_outerplanar_2connected,
+    recognize_outerplanar_2connected,  # unused here; perfbench/tracing.py wraps it
     separating_triangles,
+    verify_embedding,
 )
 from .solver import find_interval_coloring
 
@@ -36,32 +37,6 @@ def fan_max_degree(n: int) -> int:
     if n < 3:
         raise ValueError(f"fan needs n >= 3, got {n}")
     return 3 if n == 3 else max(n - 1, 5)
-
-
-def _extend(colors: dict[Edge, int], n: int, k: int) -> None:
-    """Grow a k-fan coloring into a (k+2)-fan coloring in place: add
-    v_k, v_{k+1}, w_{k-1}, w_k and their eight edges. Ids are those of
-    the target n-fan, as gen_triangular_fan numbers it: u = 0, v_i = i
-    and w_i = n - 1 + i."""
-    u = 0
-
-    def v(i: int) -> int:
-        return i
-
-    def w(i: int) -> int:
-        return n - 1 + i
-
-    for a, b, c in (
-        (u, v(k), k + 1),
-        (u, v(k + 1), k),
-        (v(k), w(k - 1), k - 2),
-        (w(k), v(k + 1), k - 2),
-        (v(k), v(k + 1), k - 1),
-        (v(k - 1), w(k - 1), k - 1),
-        (v(k - 1), v(k), k),
-        (v(k), w(k), k - 3),
-    ):
-        colors[norm_edge(a, b)] = c
 
 
 def _base_constraints(n: int) -> dict[int, frozenset[int]] | None:
@@ -103,15 +78,25 @@ def derive_base_table() -> dict[int, EdgeColoring]:
 
 
 def _extended_from(base: EdgeColoring, base_n: int, n: int) -> EdgeColoring:
-    """The n-fan coloring grown from the base_n-fan coloring, n - base_n even."""
+    """The n-fan coloring grown from the base_n-fan coloring, n - base_n even.
 
-    def moved(x: int) -> int:
-        # u and the v_i keep their ids; w_i moves from base_n - 1 + i to n - 1 + i
-        return x if x < base_n else x + n - base_n
-
-    colors = {norm_edge(moved(a), moved(b)): c for (a, b), c in base.assignment.items()}
+    Ids are gen_triangular_fan's: u = 0, v_i = i and w_i = n - 1 + i.
+    Step k adds v_k, v_{k+1}, w_{k-1}, w_k and eight edges, colored in
+    closed form in k.
+    """
+    shift = n - base_n
+    # no edge joins two w's, so in an edge (a, b) with a < b only b can be one
+    colors = {(a, b + shift if b >= base_n else b): c for (a, b), c in base.assignment.items()}
     for k in range(base_n, n, 2):
-        _extend(colors, n, k)
+        w = n - 1 + k  # w_k
+        colors[0, k] = k + 1
+        colors[0, k + 1] = k
+        colors[k, w - 1] = k - 2
+        colors[k + 1, w] = k - 2
+        colors[k, k + 1] = k - 1
+        colors[k - 1, w - 1] = k - 1
+        colors[k - 1, k] = k
+        colors[k, w] = k - 3
     return EdgeColoring(fan_max_degree(n), colors)
 
 
@@ -128,12 +113,8 @@ def color_fan(n: int, g: Graph | None = None) -> EdgeColoring:
     """
     if n < 3:
         raise ValueError(f"fan needs n >= 3, got {n}")
-    table = load_base_table()
-    if n <= 8:
-        col = EdgeColoring(table[n].t, table[n].assignment)  # copies the assignment
-    else:
-        base_n = 7 if n % 2 == 1 else 8
-        col = _extended_from(table[base_n], base_n, n)
+    base_n = n if n <= 8 else 8 - n % 2
+    col = _extended_from(load_base_table()[base_n], base_n, n)
     if g is None:
         g, _ = gen_triangular_fan(n)
     bad = check_interval_coloring(g, col)
@@ -160,13 +141,22 @@ def separating_triangle_demo(n: int) -> FanReport:
     colorability of outerplanar triangulations; the n-fan has n-4 of
     them and an interval coloring with exactly max-degree colors, so
     they obstruct nothing.
+
+    No recognition runs: the outer walk u, v_1, w_1, v_2, ..., w_{n-2},
+    v_{n-1} is known from the construction, and verify_embedding checks
+    it and puts it in canonical form. A 2-connected outerplanar graph has
+    one Hamiltonian cycle, so that is the embedding recognition gives.
     """
     if n < 5:
         raise ValueError(f"demo needs n >= 5 for a nonempty triangle list, got {n}")
     g, _ = gen_triangular_fan(n)
-    emb = recognize_outerplanar_2connected(g)
+    walk = [0]
+    for i in range(1, n - 1):
+        walk += (i, n - 1 + i)
+    walk.append(n - 1)
+    emb = verify_embedding(g, walk)
     if not isinstance(emb, OuterEmbedding):
-        raise AssertionError(f"fan graph failed recognition: {emb.reason}")
+        raise AssertionError(f"fan walk failed verification: {emb.reason}")
     tris = tuple(separating_triangles(emb))
     if len(tris) != n - 4:
         raise AssertionError(f"expected {n - 4} separating triangles, found {len(tris)}")

@@ -182,15 +182,13 @@ def gen_triangular_fan(n: int) -> tuple[Graph, Labels]:
     """
     if n < 3:
         raise GraphError(f"triangular fan needs n >= 3, got {n}")
-    u = 0
-    v = {i: i for i in range(1, n)}
-    w = {i: (n - 1) + i for i in range(1, n - 1)}
-    edges = [(u, v[i]) for i in range(1, n)]
+    edges = [(0, i) for i in range(1, n)]
     for i in range(1, n - 1):
-        edges += [(v[i], w[i]), (w[i], v[i + 1]), (v[i], v[i + 1])]
-    labels: Labels = {u: "u"}
-    labels.update({v[i]: f"v{i}" for i in range(1, n)})
-    labels.update({w[i]: f"w{i}" for i in range(1, n - 1)})
+        w = n - 1 + i
+        edges += [(i, w), (w, i + 1), (i, i + 1)]
+    labels: Labels = {0: "u"}
+    labels.update({i: f"v{i}" for i in range(1, n)})
+    labels.update({n - 1 + i: f"w{i}" for i in range(1, n - 1)})
     return make_graph(2 * n - 2, edges), labels
 
 

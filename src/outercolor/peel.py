@@ -11,9 +11,10 @@ replaces one there sees the peel's calls.
 The peel removes one reducible configuration at a time from a single
 mutable adjacency: an adjacent degree-2 pair is cut out (reattaching or
 keeping the neighbor edge), or a 3-2-3 triangle is contracted to a
-single vertex. It runs as two loops, so its depth does not grow with n.
-The down loop reduces until a base case colors what is left; the up loop
-undoes the reductions in reverse and splices colors for the restored
+single vertex. Each level is one edit, the edges it cuts and the edges
+it links. It runs as two loops, so its depth does not grow with n. The
+down loop applies the edits until a base case colors what is left; the
+up loop undoes them in reverse and splices colors for the restored
 edges using only the local palettes.
 
 Colors live in per-vertex palettes: at[v][w] is the color of edge vw,
@@ -326,14 +327,31 @@ def _splice_triangle(peel: _Peel, u: int, v: int, w: int, a: int, b: int) -> Non
     peel.paint(v, w, vw_color)
 
 
+def _edit(adj: list[set[int]], cut: tuple[Edge, ...], link: tuple[Edge, ...]) -> None:
+    # one level's change to the graph: cut the edges of `cut`, then add
+    # those of `link`; the same call with the two swapped undoes it
+    for a, b in cut:
+        adj[a].remove(b)
+        adj[b].remove(a)
+    for a, b in link:
+        adj[a].add(b)
+        adj[b].add(a)
+
+
 def _color_rec(g: Graph) -> tuple[EdgeColoring, tuple[ReductionStep, ...]]:
     """Peel g, which has passed `subcubic._check_preconditions`, down to
     a base case, color it, and splice back up.
 
     Returns the coloring, with at most 4 colors, and one ReductionStep
-    per level, with depth equal to its index. The name predates the
-    loops; perfbench/tracing.py wraps the peel by it, as
-    `subcubic._color_rec`.
+    per level, with depth equal to its index. perfbench/tracing.py wraps
+    the peel by this name, as `subcubic._color_rec`.
+
+    Each level is one edit, applied by `_edit` on the way down and
+    undone by it on the way up: Case11 cuts ux, uv and vy and links xy;
+    Case12 cuts the same and links nothing; Case2 cuts uv, uw, vw and wb
+    and links ub. The endpoints of the cut edges are the vertices the
+    level changes: the splice check tests them, and the kept ones feed
+    the heaps.
 
     Candidate configurations sit in two lazily checked heaps: every edge
     that may join two degree-2 vertices, as the key u * n + v with u < v,
@@ -353,9 +371,9 @@ def _color_rec(g: Graph) -> tuple[EdgeColoring, tuple[ReductionStep, ...]]:
     heapq.heapify(pairs)
     tips = [v for v in range(n) if _is_tip(adj, v)]
     steps: list[ReductionStep] = []
-    # per level: the case and its vertices, (u, v, x, y) for a pair and
-    # (u, v, w, a, b) for a triangle
-    undo: list[tuple[str, tuple[int, ...]]] = []
+    # per level: the splice rule and its vertices, the edges cut and
+    # linked, and the endpoints of the cut edges
+    undo = []
     while True:
         depth = len(steps)
         # a 2-connected graph with as many edges as vertices is a cycle
@@ -378,26 +396,16 @@ def _color_rec(g: Graph) -> tuple[EdgeColoring, tuple[ReductionStep, ...]]:
         if pairs:
             x = _other(au, v)
             y = _other(adj[v], u)
-            ax, ay = adj[x], adj[y]
-            if y in ax:
-                if m - 3 == live - 2 and live % 2 == 1:
-                    steps.append(ReductionStep("Case12OddCycle", depth, (u, v), (x, y)))
-                    _color_odd_cycle_pair(peel, u, v, x, y)
-                    break
-                case = "Case12"
-                m -= 3
+            if y not in adj[x]:
+                case, splice, link = "Case11", _splice_pair_new_edge, ((x, y),)
+            elif m - 3 == live - 2 and live % 2 == 1:
+                steps.append(ReductionStep("Case12OddCycle", depth, (u, v), (x, y)))
+                _color_odd_cycle_pair(peel, u, v, x, y)
+                break
             else:
-                case = "Case11"
-                ax.add(y)
-                ay.add(x)
-                m -= 2
+                case, splice, link = "Case12", _splice_pair_kept_edge, ()
             steps.append(ReductionStep(case, depth, (u, v), (x, y)))
-            undo.append((case, (u, v, x, y)))
-            au.clear()
-            adj[v].clear()
-            ax.remove(u)
-            ay.remove(v)
-            touched = (x, y)
+            verts, cut = (u, v, x, y), ((u, v), (u, x), (v, y))
         else:
             while tips and not _is_tip(adj, tips[0]):
                 heappop(tips)
@@ -405,27 +413,21 @@ def _color_rec(g: Graph) -> tuple[EdgeColoring, tuple[ReductionStep, ...]]:
                 raise NoConfigError("no adjacent degree-2 pair and no 3-2-3 triangle")
             v = tips[0]
             u, w = sorted(adj[v])
-            au, aw = adj[u], adj[w]
-            a = next(z for z in au if z != v and z != w)
-            b = next(z for z in aw if z != u and z != v)
+            a = next(z for z in adj[u] if z != v and z != w)
+            b = next(z for z in adj[w] if z != u and z != v)
             if a == b:
                 # would make `a` a cut vertex, contradicting 2-connectedness
                 raise AssertionError(f"triangle {u},{v},{w} shares its external neighbor {a}")
             steps.append(ReductionStep("Case2", depth, (u, v, w), (a, b)))
-            undo.append(("Case2", (u, v, w, a, b)))
-            # contract: cut uv, uw, vw and wb, link ub
-            au.remove(v)
-            au.remove(w)
-            au.add(b)
-            adj[v].clear()
-            aw.clear()
-            adj[b].remove(w)
-            adj[b].add(u)
-            m -= 3
-            touched = (u, b)
+            splice, verts = _splice_triangle, (u, v, w, a, b)
+            cut, link = ((u, v), (u, w), (v, w), (w, b)), ((u, b),)
+        touched = {z for e in cut for z in e}
+        undo.append((splice, verts, cut, link, touched))
+        _edit(adj, cut, link)
+        m -= len(cut) - len(link)
         live -= 2
-        # the two kept vertices are adjacent now, so the neighbors of both
-        # include both
+        # the removed vertices have no neighbors left, and the two kept
+        # ones are adjacent now, so the neighbors of both include both
         for z in touched:
             az = adj[z]
             for r in az:
@@ -438,38 +440,12 @@ def _color_rec(g: Graph) -> tuple[EdgeColoring, tuple[ReductionStep, ...]]:
     if not peel.valid_at(base, m):
         raise peel.failure(f"{steps[-1].case} base at depth {len(undo)}")
     for depth in reversed(range(len(undo))):
-        case, verts = undo[depth]
-        if case == "Case2":
-            u, v, w, a, b = verts
-            # cut ub, link uv, uw, vw and wb
-            adj[u].remove(b)
-            adj[b].remove(u)
-            adj[u].update((v, w))
-            adj[v].update((u, w))
-            adj[w].update((u, v, b))
-            adj[b].add(w)
-            m += 3
-            _splice_triangle(peel, u, v, w, a, b)
-            touched = (u, v, w, b)
-        else:
-            u, v, x, y = verts
-            if case == "Case11":
-                adj[x].remove(y)
-                adj[y].remove(x)
-                m += 2
-            else:
-                m += 3
-            adj[u].update((v, x))
-            adj[v].update((u, y))
-            adj[x].add(u)
-            adj[y].add(v)
-            if case == "Case11":
-                _splice_pair_new_edge(peel, u, v, x, y)
-            else:
-                _splice_pair_kept_edge(peel, u, v, x, y)
-            touched = verts
+        splice, verts, cut, link, touched = undo[depth]
+        _edit(adj, link, cut)
+        m += len(cut) - len(link)
+        splice(peel, *verts)
         if not peel.valid_at(touched, m):
-            raise peel.failure(f"{case} splice at depth {depth}")
+            raise peel.failure(f"{steps[depth].case} splice at depth {depth}")
     col = subcubic._assert_valid(g, subcubic._coloring_of(peel.assignment()), "the peel")
     if col.t > 4:
         raise AssertionError(f"construction used {col.t} colors")

@@ -9,8 +9,9 @@ gets exactly 4 colors from one dynamic program over the chord nesting
 (`color_odd_subcubic`).
 
 The peel, a reduction that colors the same class with at most 4 colors,
-lives in `peel`. No CLI command runs it, so this module loads it only
-when asked for one of its names (see `__getattr__`).
+lives in `peel`, and a caller imports it from there. No CLI command
+runs it; this module loads it only when asked for `_color_rec` or
+`find_reducible_config`, which a tracer wraps here (see `__getattr__`).
 """
 
 from __future__ import annotations
@@ -37,17 +38,8 @@ def _coloring_of(assignment: dict[Edge, int]) -> EdgeColoring:
     return EdgeColoring(max(assignment.values()), assignment)
 
 
-# the peel's names that this module hands out
-_PEEL = frozenset({
-    "NoConfigError",
-    "PairConfig",
-    "ReducibleConfig",
-    "ReductionStep",
-    "TriangleConfig",
-    "_color_rec",
-    "color_subcubic_le4_traced",
-    "find_reducible_config",
-})
+# the peel's names that the benchmark's tracer binds on this module
+_PEEL = frozenset({"_color_rec", "find_reducible_config"})
 
 
 def __getattr__(name: str):

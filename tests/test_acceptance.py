@@ -25,6 +25,7 @@ from outercolor.outerplanar import (
     recognize_outerplanar_2connected,
     verify_embedding,
 )
+from outercolor.peel import color_subcubic_le4_traced
 from outercolor.solver import (
     Colored,
     NotColorable,
@@ -32,7 +33,7 @@ from outercolor.solver import (
     find_interval_coloring,
     width,
 )
-from outercolor.subcubic import color_optimal_subcubic, color_subcubic_le4_traced
+from outercolor.subcubic import color_optimal_subcubic
 
 
 def report(ok: bool, label: str, detail: str) -> None:

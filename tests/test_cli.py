@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import outercolor
 import outercolor.cli
 import outercolor.fan
+import outercolor.peel
 import outercolor.subcubic
 from outercolor.cli import main
 from outercolor.fan import load_base_table
@@ -273,7 +274,7 @@ def test_color_trace_names_input_vertex_ids():
     # C9 with chords (0, 2) and (4, 6). Depth 0 cuts 7 and 8, depth 1
     # contracts the triangle 0, 1, 2 into 0, so at depth 2 the survivors
     # are 0, 3, 4, 5, 6 and input ids 3, 4, 6 differ from their ranks
-    _, steps = outercolor.subcubic.color_subcubic_le4_traced(read_edge_list(C9_TWO_CHORDS))
+    _, steps = outercolor.peel.color_subcubic_le4_traced(read_edge_list(C9_TWO_CHORDS))
     assert [
         f"{s.case} depth={s.depth} removed={s.removed} attachments={s.attachments}"
         for s in steps

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+import outercolor.fan
 from outercolor.coloring import check_interval_coloring, coloring_to_json
 from outercolor.fan import (
     FanReport,
@@ -13,6 +14,7 @@ from outercolor.fan import (
     separating_triangle_demo,
 )
 from outercolor.graphs import gen_triangular_fan, norm_edge
+from outercolor.outerplanar import recognize_outerplanar_2connected, separating_triangles
 from outercolor.solver import Colored, width
 
 
@@ -141,6 +143,19 @@ def test_demo_triangles_are_apex_cells():
     assert report.separating_triangles == tuple(
         (0, i, i + 1) for i in range(2, 6)
     )
+
+
+def test_demo_runs_no_recognition_and_finds_its_triangles(monkeypatch):
+    # the demo verifies the walk its generator knows; its triangles are
+    # those of the embedding recognition gives
+    def refused(g):
+        raise AssertionError("the demo ran recognition")
+
+    monkeypatch.setattr(outercolor.fan, "recognize_outerplanar_2connected", refused)
+    for n in range(5, 151):
+        g, _ = gen_triangular_fan(n)
+        expected = tuple(separating_triangles(recognize_outerplanar_2connected(g)))
+        assert separating_triangle_demo(n).separating_triangles == expected
 
 
 def test_demo_rejects_small():

@@ -14,7 +14,7 @@ from outercolor.outerplanar import (
     separating_triangles,
     verify_embedding,
 )
-from outercolor.subcubic import NoConfigError, PairConfig, TriangleConfig, find_reducible_config
+from outercolor.peel import NoConfigError, PairConfig, TriangleConfig, find_reducible_config
 
 
 def crossings_bruteforce(emb: OuterEmbedding) -> int:

@@ -23,8 +23,7 @@ from outercolor.graphs import (
     make_graph,
     norm_edge,
 )
-from outercolor.solver import find_interval_coloring
-from outercolor.subcubic import (
+from outercolor.peel import (
     NoConfigError,
     PairConfig,
     ReducibleConfig,
@@ -32,6 +31,7 @@ from outercolor.subcubic import (
     TriangleConfig,
     color_subcubic_le4_traced,
 )
+from outercolor.solver import find_interval_coloring
 
 # ---------------------------------------------------------------------------
 # Reference peel (test-only)

@@ -13,14 +13,12 @@ from outercolor.graphs import (
     norm_edge,
 )
 from outercolor.outerplanar import OuterEmbedding, recognize_outerplanar_2connected
+from outercolor.peel import PairConfig, color_subcubic_le4_traced, find_reducible_config
 from outercolor.solver import Colored, find_interval_coloring, width
 from outercolor.subcubic import (
     ColoringPreconditionError,
-    PairConfig,
     color_even_hamiltonian,
     color_optimal_subcubic,
-    color_subcubic_le4_traced,
-    find_reducible_config,
 )
 
 

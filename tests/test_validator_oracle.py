@@ -25,7 +25,7 @@ from outercolor.graphs import (
     make_graph,
     norm_edge,
 )
-from outercolor.subcubic import color_subcubic_le4_traced
+from outercolor.peel import color_subcubic_le4_traced
 
 # ---------------------------------------------------------------------------
 # Reference implementation (per vertex id; test-only)
