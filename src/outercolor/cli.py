@@ -1,9 +1,11 @@
 """Command-line front door: generate, recognize, color, width, verify, export.
 
 Commands read the edge-list format (or coloring JSON where noted) from
---in or stdin and write to --out or stdout, so they compose under pipes:
+--in or stdin and write to --out or stdout, so they compose under pipes.
+DOT comes only from `export-dot`, which draws either input format:
 
     outercolor gen --family random --n 9 --seed 4 | outercolor color | outercolor verify
+    outercolor fan --n 9 | outercolor export-dot
 
 Exit codes: 0 success, 1 for negative-but-valid verdicts (rejection,
 not colorable, violation, inconclusive), 2 for usage errors and for a
@@ -65,10 +67,8 @@ _LAZY = {
     "outerplanar": ("OuterEmbedding", "recognize_outerplanar_2connected"),
     "solver": (
         "BudgetExceeded",
-        "Colored",
         "ExhaustedAllT",
         "Inconclusive",
-        "NotColorable",
         "find_interval_coloring",
         "width",
     ),
@@ -136,29 +136,14 @@ def _load_graph(path: str | None) -> Graph:
     return read_edge_list(_read_text(path))
 
 
-def _certificate_json(cert) -> dict:
-    if isinstance(cert, ExhaustedAllT):
-        return {"kind": "exhausted-all-t", "t_max": cert.t_max, "reason": cert.reason}
-    if cert.klm is None:
-        return {"kind": "parity", "n": cert.n, "edges": cert.edges}
-    k, l, m = cert.klm
-    return {"kind": "parity", "k": k, "l": l, "m": m}
-
-
-def _coloring_output(g: Graph, col: EdgeColoring, fmt: str) -> str:
-    if fmt == "dot":
-        return write_dot(g, col.assignment)
-    return coloring_to_json(col)
-
-
 def _cmd_gen(args: Args) -> int:
     try:
         if args.family == "cycle":
             g = gen_cycle(_need(args, "n"))
         elif args.family == "tf":
-            g, _ = gen_triangular_fan(_need(args, "n"))
+            g = gen_triangular_fan(_need(args, "n"))
         elif args.family == "tklm":
-            g, _ = gen_triangle_graph(_need(args, "k"), _need(args, "l"), _need(args, "m"))
+            g = gen_triangle_graph(_need(args, "k"), _need(args, "l"), _need(args, "m"))
         else:
             g = gen_random_outerplanar_subcubic(_need(args, "n"), args.seed)
     except (ValueError, GraphError) as exc:
@@ -212,7 +197,7 @@ def _cmd_color(args: Args) -> int:
     _load("subcubic" if args.method == "construct" else "solver")
     if args.method == "construct":
         try:
-            _, col = color_optimal_subcubic(g)
+            col = color_optimal_subcubic(g)
         except ColoringPreconditionError as exc:
             _emit(_verdict({"verdict": "error", "detail": str(exc)}), args.out)
             return 1
@@ -228,11 +213,10 @@ def _cmd_color(args: Args) -> int:
             _emit(_verdict({"verdict": "no-coloring-at-t", "t": args.t}), args.out)
             return 1
     else:
-        outcome = _run_width(g, args)
-        if outcome is None:
+        col = _run_width(g, args)
+        if col is None:
             return 1
-        col = outcome.coloring
-    _emit(_coloring_output(g, col, args.format), args.out)
+    _emit(coloring_to_json(col), args.out)
     return 0
 
 
@@ -241,22 +225,29 @@ def _check_budget(args: Args) -> None:
         _usage_error(args, f"--budget-ms must be >= 0, got {args.budget_ms}")
 
 
-def _run_width(g: Graph, args: Args) -> Colored | None:
+def _run_width(g: Graph, args: Args) -> EdgeColoring | None:
     """`width` on g, shared by `width` and `color --method exact`: a
     negative outcome is emitted as its verdict and comes back as None."""
     outcome = width(g, budget_ms=args.budget_ms)
-    if isinstance(outcome, Colored):
+    if isinstance(outcome, EdgeColoring):
         return outcome
     _emit_negative(outcome, args.out)
     return None
 
 
-def _emit_negative(outcome: NotColorable | Inconclusive, out: str | None) -> int:
-    if isinstance(outcome, NotColorable):
-        cert = _certificate_json(outcome.certificate)
-        verdict = {"verdict": "not-colorable", "certificate": cert}
-    else:
+def _emit_negative(outcome: Inconclusive | ExhaustedAllT | ParityCertificate,
+                   out: str | None) -> int:
+    if isinstance(outcome, Inconclusive):
         verdict = {"verdict": "inconclusive", "bound_exhausted_at": outcome.bound_exhausted_at}
+    else:
+        if isinstance(outcome, ExhaustedAllT):
+            cert = {"kind": "exhausted-all-t", "t_max": outcome.t_max, "reason": outcome.reason}
+        elif outcome.klm is None:
+            cert = {"kind": "parity", "n": outcome.n, "edges": outcome.edges}
+        else:
+            k, l, m = outcome.klm
+            cert = {"kind": "parity", "k": k, "l": l, "m": m}
+        verdict = {"verdict": "not-colorable", "certificate": cert}
     _emit(_verdict(verdict), out)
     return 1
 
@@ -265,19 +256,11 @@ def _cmd_width(args: Args) -> int:
     _check_budget(args)
     g = _load_graph(args.graph_in)
     _load("solver")
-    outcome = _run_width(g, args)
-    if outcome is None:
+    col = _run_width(g, args)
+    if col is None:
         return 1
-    _emit(
-        _verdict(
-            {
-                "verdict": "colored",
-                "t": outcome.t,
-                "coloring": coloring_to_dict(outcome.coloring),
-            }
-        ),
-        args.out,
-    )
+    verdict = {"verdict": "colored", "t": col.t, "coloring": coloring_to_dict(col)}
+    _emit(_verdict(verdict), args.out)
     return 0
 
 
@@ -310,17 +293,11 @@ def _cmd_verify(args: Args) -> int:
 def _cmd_fan(args: Args) -> int:
     n = _need(args, "n")
     _load("fan")
-    # DOT draws the graph that the coloring is validated against, so it is
-    # built once here; n < 3 is left to color_fan's error
-    g = gen_triangular_fan(n)[0] if args.format == "dot" and n >= 3 else None
     try:
-        col = color_fan(n, g)
+        col = color_fan(n)
     except ValueError as exc:
         _usage_error(args, str(exc))
-    if g is not None:
-        _emit(write_dot(g, col.assignment), args.out)
-    else:
-        _emit(coloring_to_json(col), args.out)
+    _emit(coloring_to_json(col), args.out)
     return 0
 
 
@@ -362,7 +339,6 @@ _IN = ("--in", {"dest": "graph_in", "metavar": "FILE", "help": "input file (defa
 _IO = (_IN, _OUT)
 _N = ("--n", {"type": int})
 _BUDGET = ("--budget-ms", {"type": int, "dest": "budget_ms"})
-_FORMAT = ("--format", {"choices": ["json", "dot"], "default": "json"})
 
 # name: (help, handler, its arguments in help order)
 _COMMANDS = {
@@ -376,11 +352,11 @@ _COMMANDS = {
         *_IO,
         ("--method", {"choices": ["construct", "exact"], "default": "construct"}),
         ("--t", {"type": int, "help": "exact search at this color count only"}),
-        _BUDGET, _FORMAT,
+        _BUDGET,
     )),
     "width": ("exact minimum color count by exhaustive search", _cmd_width, (*_IO, _BUDGET)),
     "verify": ("validate a coloring JSON document", _cmd_verify, _IO),
-    "fan": ("color the n-fan with exactly max-degree colors", _cmd_fan, (_N, _FORMAT, _OUT)),
+    "fan": ("color the n-fan with exactly max-degree colors", _cmd_fan, (_N, _OUT)),
     "demo-axenovich": (
         "fan report: separating triangles do not block interval coloring", _cmd_demo, (_N, _OUT)
     ),

@@ -59,7 +59,7 @@ def derive_base_table() -> dict[int, EdgeColoring]:
     """
     table: dict[int, EdgeColoring] = {}
     for n in range(3, 9):
-        g, _ = gen_triangular_fan(n)
+        g = gen_triangular_fan(n)
         t = fan_max_degree(n)
         col = find_interval_coloring(g, t, require_palettes=_base_constraints(n))
         if col is None:
@@ -68,7 +68,7 @@ def derive_base_table() -> dict[int, EdgeColoring]:
     for start in (7, 8):
         for target in (start + 2, start + 4):
             probe = _extended_from(table[start], start, target)
-            g, _ = gen_triangular_fan(target)
+            g = gen_triangular_fan(target)
             bad = check_interval_coloring(g, probe)
             if bad is not None:
                 raise AssertionError(
@@ -116,7 +116,7 @@ def color_fan(n: int, g: Graph | None = None) -> EdgeColoring:
     base_n = n if n <= 8 else 8 - n % 2
     col = _extended_from(load_base_table()[base_n], base_n, n)
     if g is None:
-        g, _ = gen_triangular_fan(n)
+        g = gen_triangular_fan(n)
     bad = check_interval_coloring(g, col)
     if bad is not None:
         raise AssertionError(f"fan coloring invalid at n={n}: {bad.describe()}")
@@ -149,7 +149,7 @@ def separating_triangle_demo(n: int) -> FanReport:
     """
     if n < 5:
         raise ValueError(f"demo needs n >= 5 for a nonempty triangle list, got {n}")
-    g, _ = gen_triangular_fan(n)
+    g = gen_triangular_fan(n)
     walk = [0]
     for i in range(1, n - 1):
         walk += (i, n - 1 + i)

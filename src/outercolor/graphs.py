@@ -2,8 +2,8 @@
 
 Vertices are dense integer ids 0..n-1. Edges are unordered pairs stored
 as (min, max) tuples. Graphs are immutable values: construct once, share
-freely. Family generators attach human-readable role labels in a separate
-dict so the algorithms themselves never depend on vertex names.
+freely. Each family generator numbers its vertices by the formulas in
+its docstring, so a caller names a vertex by its role from the id alone.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from functools import cached_property
 from itertools import chain
 
 Edge = tuple[int, int]
-Labels = dict[int, str]
 
 # Fixed palette for DOT edge colors, indexed by (color - 1) % len.
 _DOT_PALETTE = (
@@ -173,7 +172,7 @@ def gen_cycle(n: int) -> Graph:
     return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def gen_triangular_fan(n: int) -> tuple[Graph, Labels]:
+def gen_triangular_fan(n: int) -> Graph:
     """Triangular fan: apex u joined to a fan path v_1..v_{n-1}, with a
     degree-2 vertex w_i inside each cell v_i, v_{i+1}.
 
@@ -186,39 +185,24 @@ def gen_triangular_fan(n: int) -> tuple[Graph, Labels]:
     for i in range(1, n - 1):
         w = n - 1 + i
         edges += [(i, w), (w, i + 1), (i, i + 1)]
-    labels: Labels = {0: "u"}
-    labels.update({i: f"v{i}" for i in range(1, n)})
-    labels.update({n - 1 + i: f"w{i}" for i in range(1, n - 1)})
-    return make_graph(2 * n - 2, edges), labels
+    return make_graph(2 * n - 2, edges)
 
 
-def gen_triangle_graph(k: int, l: int, m: int) -> tuple[Graph, Labels]:
-    """Triangle x,y,z with each side paralleled by a path of even length:
-    x..y through u_1..u_{2k-1}, y..z through v_1..v_{2l-1}, and
-    x..z through w_1..w_{2m-1}. Every vertex degree is even (4 or 2).
+def gen_triangle_graph(k: int, l: int, m: int) -> Graph:
+    """Triangle x, y, z = 0, 1, 2 with each side paralleled by a path of
+    even length: 2k edges from x to y, 2l from y to z and 2m from x to z,
+    whose inner vertices take ids from 3 on, side by side in that order.
+    Every vertex degree is even (4 or 2).
     """
     if k < 1 or l < 1 or m < 1:
         raise GraphError(f"path parameters must be >= 1, got ({k}, {l}, {m})")
-    x, y, z = 0, 1, 2
+    edges = [(0, 1), (1, 2), (0, 2)]
     nxt = 3
-    u = list(range(nxt, nxt + 2 * k - 1))
-    nxt += 2 * k - 1
-    v = list(range(nxt, nxt + 2 * l - 1))
-    nxt += 2 * l - 1
-    w = list(range(nxt, nxt + 2 * m - 1))
-    nxt += 2 * m - 1
-
-    edges = [(x, y), (y, z), (x, z)]
-    for path, a, b in ((u, x, y), (v, y, z), (w, x, z)):
-        edges.append((a, path[0]))
-        edges += [(path[i], path[i + 1]) for i in range(len(path) - 1)]
-        edges.append((path[-1], b))
-
-    labels: Labels = {x: "x", y: "y", z: "z"}
-    labels.update({u[i]: f"u{i + 1}" for i in range(len(u))})
-    labels.update({v[i]: f"v{i + 1}" for i in range(len(v))})
-    labels.update({w[i]: f"w{i + 1}" for i in range(len(w))})
-    return make_graph(nxt, edges), labels
+    for length, a, b in ((2 * k, 0, 1), (2 * l, 1, 2), (2 * m, 0, 2)):
+        path = [a, *range(nxt, nxt + length - 1), b]
+        nxt += length - 1
+        edges += zip(path, path[1:])
+    return make_graph(nxt, edges)
 
 
 def gen_random_outerplanar_subcubic(n: int, seed: int) -> Graph:

@@ -25,13 +25,6 @@ from .graphs import Edge, Graph, GraphError, neighbor_sets, norm_edge
 # Outcomes and certificates
 # ---------------------------------------------------------------------------
 
-class Colored(NamedTuple):
-    """An interval t-coloring was found; t is minimal when produced by width."""
-
-    t: int
-    coloring: EdgeColoring
-
-
 class ExhaustedAllT(NamedTuple):
     """Every t from max degree to t_max was searched without success.
 
@@ -54,17 +47,13 @@ class ParityCertificate(NamedTuple):
     klm: tuple[int, int, int] | None
 
 
-class NotColorable(NamedTuple):
-    certificate: ExhaustedAllT | ParityCertificate
-
-
 class Inconclusive(NamedTuple):
     """The time budget ran out while searching at bound_exhausted_at."""
 
     bound_exhausted_at: int
 
 
-ColoringOutcome = Colored | NotColorable | Inconclusive
+ColoringOutcome = EdgeColoring | ExhaustedAllT | ParityCertificate | Inconclusive
 
 
 class BudgetExceeded(Exception):
@@ -82,7 +71,7 @@ def _require_connected(g: Graph) -> None:
         raise GraphError("solver needs a connected graph")
 
 
-def precheck(g: Graph) -> NotColorable | None:
+def precheck(g: Graph) -> ParityCertificate | None:
     """Linear-time non-colorability screen, run before any search.
 
     Raises GraphError unless g is nonempty and connected. Returns a
@@ -98,21 +87,20 @@ def precheck(g: Graph) -> NotColorable | None:
     _require_connected(g)
     if g.m % 2 == 0 or any(g.degree(v) % 2 for v in range(g.n)):
         return None
-    return NotColorable(ParityCertificate(g.n, g.m, triangle_paths_params(g)))
+    return ParityCertificate(g.n, g.m, triangle_paths_params(g))
 
 
 def triangle_paths_params(g: Graph) -> tuple[int, int, int] | None:
     """(k, l, m), ascending, if g is isomorphic to T_{k,l,m}; else None.
 
     T_{k,l,m} has n + 3 edges, three pairwise adjacent vertices of degree
-    4 (the hubs) and every other vertex of degree 2. The degrees leave
-    each hub two edges into runs of degree-2 vertices, so with the hubs a
-    triangle there are three runs. g is T_{k,l,m} exactly when no run
-    returns to the hub it leaves, which puts one run on each hub pair,
-    every run has even length (2k, 2l, 2m), and the runs hold all n - 3
-    degree-2 vertices, so that no degree-2 cycle lies apart from the
-    hubs. The order of (k, l, m) does not matter, since the triangle's
-    symmetries permute the hub pairs. One walk per run end: O(n).
+    4 (the hubs) and every other vertex of degree 2. Without the hubs'
+    triangle every degree is 2, so the rest is a union of cycles. g is
+    T_{k,l,m} exactly when the one through the first hub holds all n
+    vertices, which the walk along it shows by first coming back after n
+    steps, and each of its three stretches from hub to hub has even
+    length (2k, 2l, 2m). The order of (k, l, m) does not matter, since
+    the triangle's symmetries permute the hub pairs. One walk: O(n).
     """
     if g.m != g.n + 3:
         return None
@@ -126,32 +114,21 @@ def triangle_paths_params(g: Graph) -> tuple[int, int, int] | None:
     x, y, z = hubs  # n + 3 edges with all other degrees 2 leave three hubs
     if not (g.has_edge(x, y) and g.has_edge(y, z) and g.has_edge(x, z)):
         return None
-    half: dict[Edge, int] = {}
-    inner = 0  # degree-2 vertices walked; each run is walked from both ends
-    for a in hubs:
-        for w in g.neighbors(a):
-            if w in hubs:
-                continue
-            walk = _path_between(g, a, w)
-            length = len(walk) - 1
-            if walk[-1] == a or length % 2:
+    # a walk from x that is not back at x before step n is on a cycle of
+    # all n vertices, so it ends at x having passed y and z once each
+    halves = []
+    prev, v, run = -1, x, 0
+    for step in range(1, g.n + 1):
+        a, b = [w for w in g.neighbors(v) if w not in hubs] if v in hubs else g.neighbors(v)
+        prev, v = v, b if a == prev else a
+        run += 1
+        if v in hubs:
+            if run % 2 or v == x and step < g.n:
                 return None
-            half[norm_edge(a, walk[-1])] = length // 2
-            inner += length - 1
-    if inner != 2 * (g.n - 3):
-        return None
-    k, l, m = sorted(half.values())
+            halves.append(run // 2)
+            run = 0
+    k, l, m = sorted(halves)
     return k, l, m
-
-
-def _path_between(g: Graph, start_edge_end: int, first: int) -> list[int]:
-    # walk from triangle vertex start through degree-2 vertices to the
-    # far triangle vertex; returns the full vertex sequence
-    walk = [start_edge_end, first]
-    while g.degree(walk[-1]) == 2:
-        a, b = g.neighbors(walk[-1])
-        walk.append(a if a != walk[-2] else b)
-    return walk
 
 
 def has_triangle(g: Graph) -> bool:
@@ -347,13 +324,15 @@ def find_interval_coloring(
 
 
 def width(g: Graph, budget_ms: int | None = None) -> ColoringOutcome:
-    """Exact minimum number of colors, scanning every t up to the bound.
+    """Exact minimum number of colors, scanning every t up to the bound:
+    the first coloring found, at the least t, or why there is none.
 
     `precheck` refuses every graph with all degrees even and m odd first,
-    with no search and whatever the budget. Otherwise colorability is not
-    monotone in t, so a miss at one t proves nothing about larger t;
-    NotColorable therefore requires exhausting the whole range. A budget
-    overrun yields Inconclusive naming the t in progress.
+    with its `ParityCertificate`, with no search and whatever the budget.
+    Otherwise colorability is not monotone in t, so a miss at one t
+    proves nothing about larger t; `ExhaustedAllT` therefore requires
+    exhausting the whole range. A budget overrun yields Inconclusive
+    naming the t in progress.
     """
     bad = precheck(g)
     if bad is not None:
@@ -370,5 +349,5 @@ def width(g: Graph, budget_ms: int | None = None) -> ColoringOutcome:
         except BudgetExceeded:
             return Inconclusive(bound_exhausted_at=t)
         if found is not None:
-            return Colored(t, found)
-    return NotColorable(ExhaustedAllT(t_max=bound, reason=reason))
+            return found
+    return ExhaustedAllT(t_max=bound, reason=reason)

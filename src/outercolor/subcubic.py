@@ -268,10 +268,10 @@ def color_odd_subcubic(g: Graph, emb: OuterEmbedding) -> EdgeColoring:
     return _assert_valid(g, _coloring_of(colors), "the odd-order dynamic program")
 
 
-def color_optimal_subcubic(g: Graph) -> tuple[int, EdgeColoring]:
-    """Minimum-color interval coloring for max degree at most 3: two
-    colors for an even cycle; at max degree 3, three colors at even order
-    and four at odd.
+def color_optimal_subcubic(g: Graph) -> EdgeColoring:
+    """Minimum-color interval coloring for max degree at most 3, whose t
+    is two for an even cycle; at max degree 3, three at even order and
+    four at odd.
 
     Odd order cannot do better: a 3-coloring would force the color-2
     edges to form a perfect matching, which odd order rules out.
@@ -281,9 +281,8 @@ def color_optimal_subcubic(g: Graph) -> tuple[int, EdgeColoring]:
     """
     emb = _check_preconditions(g)
     if g.n % 2 == 0:
-        col = color_even_hamiltonian(g, emb)
-        return col.t, col
+        return color_even_hamiltonian(g, emb)
     col = color_odd_subcubic(g, emb)
     if col.t != 4:
         raise AssertionError(f"odd-order construction used {col.t} colors, wanted 4")
-    return 4, col
+    return col

@@ -26,13 +26,7 @@ from outercolor.outerplanar import (
     verify_embedding,
 )
 from outercolor.peel import color_subcubic_le4_traced
-from outercolor.solver import (
-    Colored,
-    NotColorable,
-    ParityCertificate,
-    find_interval_coloring,
-    width,
-)
+from outercolor.solver import ParityCertificate, find_interval_coloring, width
 from outercolor.subcubic import color_optimal_subcubic
 
 
@@ -54,18 +48,18 @@ def test_criterion_1_optimal_subcubic_corpus():
     widths_checked = 0
     for n, seed, g in corpus():
         count += 1
-        t, col = color_optimal_subcubic(g)
+        col = color_optimal_subcubic(g)
         bad = check_interval_coloring(g, col)
         if bad is not None:
             problems.append(f"n={n} seed={seed}: {bad.describe()}")
             continue
         want = 3 if n % 2 == 0 else 4
-        if t != want:
-            problems.append(f"n={n} seed={seed}: got {t} colors, wanted {want}")
+        if col.t != want:
+            problems.append(f"n={n} seed={seed}: got {col.t} colors, wanted {want}")
         if n <= 10:
             widths_checked += 1
             out = width(g)
-            if not isinstance(out, Colored) or out.t != t:
+            if not isinstance(out, EdgeColoring) or out.t != col.t:
                 problems.append(f"n={n} seed={seed}: solver disagrees ({out!r})")
     elapsed = time.monotonic() - started
     if count < 200:
@@ -130,7 +124,7 @@ def test_criterion_2_le4_bound():
             # odd cycles are the one excluded case: nothing to bound,
             # they have no interval coloring at any t
             odd_cycles += 1
-            if width(g) != NotColorable(ParityCertificate(g.n, g.m, None)):
+            if width(g) != ParityCertificate(g.n, g.m, None):
                 problems.append(f"odd C{g.n} not certified uncolorable")
             continue
         col, _ = color_subcubic_le4_traced(g)
@@ -151,9 +145,9 @@ def test_criterion_3_triangle_paths_not_colorable():
     started = time.monotonic()
     problems = []
     for k, l, m in [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 2, 1)]:
-        g, _ = gen_triangle_graph(k, l, m)
+        g = gen_triangle_graph(k, l, m)
         out = width(g)
-        if out != NotColorable(ParityCertificate(g.n, g.m, tuple(sorted((k, l, m))))):
+        if out != ParityCertificate(g.n, g.m, tuple(sorted((k, l, m)))):
             problems.append(f"T({k},{l},{m}): width gave {out!r}")
         # the certificate's claim, recounted on the graph: all degrees
         # even and m odd
@@ -176,7 +170,7 @@ def test_criterion_3_triangle_paths_not_colorable():
 def test_criterion_4_fan_width_is_max_degree():
     problems = []
     for n in range(3, 31):
-        g, _ = gen_triangular_fan(n)
+        g = gen_triangular_fan(n)
         col = color_fan(n)
         bad = check_interval_coloring(g, col)
         if bad is not None:
@@ -188,7 +182,7 @@ def test_criterion_4_fan_width_is_max_degree():
             problems.append(f"n={n}: {col.t} != max(n-1, 5)")
         if n <= 6:
             out = width(g)
-            if not isinstance(out, Colored) or out.t != col.t:
+            if not isinstance(out, EdgeColoring) or out.t != col.t:
                 problems.append(f"n={n}: solver width disagrees ({out!r})")
     report(
         not problems,
@@ -203,7 +197,7 @@ def test_criterion_5_separating_triangles_not_obstructions():
         r = separating_triangle_demo(n)
         if len(r.separating_triangles) != n - 4:
             problems.append(f"n={n}: {len(r.separating_triangles)} triangles")
-        g, _ = gen_triangular_fan(n)
+        g = gen_triangular_fan(n)
         if check_interval_coloring(g, r.coloring) is not None:
             problems.append(f"n={n}: demo coloring invalid")
     report(
@@ -222,13 +216,13 @@ def test_criterion_6_validator_properties():
     for _ in range(100):
         n = rng.randrange(4, 10)
         g = gen_random_outerplanar_subcubic(n, rng.randrange(10_000))
-        t, col = color_optimal_subcubic(g)
+        col = color_optimal_subcubic(g)
         k = rng.randrange(1, 6)
         up = check_interval_coloring(
-            g, EdgeColoring(t + k, {e: c + k for e, c in col.assignment.items()})
+            g, EdgeColoring(col.t + k, {e: c + k for e, c in col.assignment.items()})
         )
         down = check_interval_coloring(
-            g, EdgeColoring(t, {e: c - k for e, c in col.assignment.items()})
+            g, EdgeColoring(col.t, {e: c - k for e, c in col.assignment.items()})
         )
         if up is None or (up.kind, up.color) != ("color-unused", 1):
             problems.append(f"n={n}: moved up by {k}, verdict {up}")
@@ -240,7 +234,7 @@ def test_criterion_6_validator_properties():
     for n, col in sorted(load_base_table().items()):
         if col.t < 3:
             continue
-        g, _ = gen_triangular_fan(n)
+        g = gen_triangular_fan(n)
         rejected = None
         for perm in itertools.permutations(range(1, col.t + 1)):
             mapped = EdgeColoring(
@@ -261,20 +255,20 @@ def test_criterion_6_validator_properties():
         gen_cycle(7),
         make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)]),
         make_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 3)]),
-        gen_triangular_fan(3)[0],
-        gen_triangular_fan(4)[0],
-        gen_triangle_graph(1, 1, 1)[0],
+        gen_triangular_fan(3),
+        gen_triangular_fan(4),
+        gen_triangle_graph(1, 1, 1),
     ]
     for g in small:
         assert g.m <= 10
         base = width(g)
-        base_key = (type(base).__name__, base.t if isinstance(base, Colored) else None)
+        base_key = (type(base).__name__, base.t if isinstance(base, EdgeColoring) else None)
         for _ in range(20):
             perm = list(range(g.n))
             rng.shuffle(perm)
             h = make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
             out = width(h)
-            key = (type(out).__name__, out.t if isinstance(out, Colored) else None)
+            key = (type(out).__name__, out.t if isinstance(out, EdgeColoring) else None)
             if key != base_key:
                 problems.append(f"m={g.m}: verdict {base_key} became {key}")
     report(
@@ -306,8 +300,8 @@ def test_criterion_7_recognition_soundness():
     accepted = 0
     family = (
         [gen_cycle(n) for n in range(3, 13)]
-        + [gen_triangular_fan(n)[0] for n in range(3, 13)]
-        + [gen_triangle_graph(k, l, m)[0] for k, l, m in [(1, 1, 1), (2, 1, 2), (3, 2, 1)]]
+        + [gen_triangular_fan(n) for n in range(3, 13)]
+        + [gen_triangle_graph(k, l, m) for k, l, m in [(1, 1, 1), (2, 1, 2), (3, 2, 1)]]
         + [g for _, _, g in corpus()]
     )
     for g in family:

@@ -79,7 +79,7 @@ def test_unknown_command_is_usage_error(capsys):
          "outercolor width: error: --budget-ms must be >= 0, got -5"),
         (["color", "--t", "3"], "usage: outercolor color [-h] ",
          "outercolor color: error: --t needs --method exact"),
-        (["fan", "--n", "2", "--format", "dot"], "usage: outercolor fan [-h] ",
+        (["fan", "--n", "2"], "usage: outercolor fan [-h] ",
          "outercolor fan: error: fan needs n >= 3, got 2"),
         (["demo-axenovich"], "usage: outercolor demo-axenovich [-h] ",
          "outercolor demo-axenovich: error: --n is required for this invocation"),
@@ -562,11 +562,21 @@ def test_fan_verifies(capsys, monkeypatch):
     assert json.loads(verdict_text)["t"] == 11
 
 
-def test_fan_dot_format(capsys):
-    code, out, _ = run(["fan", "--n", "5", "--format", "dot"], capsys)
+def test_fan_dot_format(capsys, monkeypatch):
+    # a fan's DOT comes from export-dot on its coloring
+    _, colored, _ = run(["fan", "--n", "5"], capsys)
+    code, out, _ = run(["export-dot"], capsys, monkeypatch, stdin_text=colored)
     assert code == 0
     assert out.startswith("graph {\n")
     assert 'label="' in out
+
+
+@pytest.mark.parametrize("argv", [["color"], ["fan", "--n", "5"]], ids=["color", "fan"])
+def test_no_command_but_export_dot_writes_dot(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "dot"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format dot" in capsys.readouterr().err
 
 
 def test_demo_reports_triangle_count(capsys):
@@ -582,13 +592,13 @@ def test_demo_reports_triangle_count(capsys):
     "argv, builds",
     [
         (["fan", "--n", "64"], 1),
-        (["fan", "--n", "64", "--format", "dot"], 1),
+        (["fan", "--n", "63"], 1),  # grown from the other base entry
         (["demo-axenovich", "--n", "64"], 1),
     ],
 )
 def test_fan_graph_built_once_per_call(argv, builds, capsys, monkeypatch):
-    # the coloring is validated against one fan graph, which DOT output
-    # then draws
+    # the coloring is validated against one fan graph, which the demo
+    # also reads its triangles from
     load_base_table()  # its one-time derivation builds small fans
     calls = []
     for module in (outercolor.fan, outercolor.cli):
@@ -601,7 +611,7 @@ def test_fan_graph_built_once_per_call(argv, builds, capsys, monkeypatch):
         monkeypatch.setattr(module, "gen_triangular_fan", counted)
     code, _, _ = run(argv, capsys)
     assert code == 0
-    assert calls == [64] * builds
+    assert calls == [int(argv[-1])] * builds
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 import outercolor.fan
-from outercolor.coloring import check_interval_coloring, coloring_to_json
+from outercolor.coloring import EdgeColoring, check_interval_coloring, coloring_to_json
 from outercolor.fan import (
     FanReport,
     _extended_from,
@@ -15,7 +15,7 @@ from outercolor.fan import (
 )
 from outercolor.graphs import gen_triangular_fan, norm_edge
 from outercolor.outerplanar import recognize_outerplanar_2connected, separating_triangles
-from outercolor.solver import Colored, width
+from outercolor.solver import width
 
 
 def test_max_degree_formula():
@@ -27,7 +27,7 @@ def test_max_degree_formula():
 
 def test_max_degree_matches_graph():
     for n in range(3, 15):
-        g, _ = gen_triangular_fan(n)
+        g = gen_triangular_fan(n)
         assert g.max_degree == fan_max_degree(n)
 
 
@@ -58,7 +58,7 @@ def test_base_table_shape():
     table = load_base_table()
     assert sorted(table) == [3, 4, 5, 6, 7, 8]
     for n, col in table.items():
-        g, _ = gen_triangular_fan(n)
+        g = gen_triangular_fan(n)
         assert check_interval_coloring(g, col) is None
         assert col.t == fan_max_degree(n)
 
@@ -69,20 +69,19 @@ def test_base_entries_have_extension_palettes():
     def palette(col, g, v):
         return tuple(sorted(col.assignment[norm_edge(v, w)] for w in g.neighbors(v)))
 
-    g7, labels7 = gen_triangular_fan(7)
-    ids7 = {name: v for v, name in labels7.items()}
-    assert palette(table[7], g7, ids7["u"]) == (1, 2, 3, 4, 5, 6)
-    assert palette(table[7], g7, ids7["v6"]) == (3, 4, 5)
-    g8, labels8 = gen_triangular_fan(8)
-    ids8 = {name: v for v, name in labels8.items()}
-    assert palette(table[8], g8, ids8["u"]) == (1, 2, 3, 4, 5, 6, 7)
-    assert palette(table[8], g8, ids8["v7"]) == (4, 5, 6)
+    # the apex u is 0 and v_i is i
+    g7 = gen_triangular_fan(7)
+    assert palette(table[7], g7, 0) == (1, 2, 3, 4, 5, 6)
+    assert palette(table[7], g7, 6) == (3, 4, 5)
+    g8 = gen_triangular_fan(8)
+    assert palette(table[8], g8, 0) == (1, 2, 3, 4, 5, 6, 7)
+    assert palette(table[8], g8, 7) == (4, 5, 6)
 
 
 def test_color_fan_valid_and_tight():
     for n in range(3, 31):
         col = color_fan(n)
-        g, _ = gen_triangular_fan(n)
+        g = gen_triangular_fan(n)
         assert check_interval_coloring(g, col) is None
         assert col.t == fan_max_degree(n)
 
@@ -95,10 +94,15 @@ def test_color_fan_rejects_tiny():
 def test_solver_confirms_small_fans():
     # width >= max degree always, so matching t certifies optimality
     for n in range(3, 7):
-        g, _ = gen_triangular_fan(n)
+        g = gen_triangular_fan(n)
         out = width(g)
-        assert isinstance(out, Colored)
+        assert isinstance(out, EdgeColoring)
         assert out.t == fan_max_degree(n)
+
+
+def _role(n, v):
+    # the n-fan's ids: u = 0, v_i = i and w_i = n - 1 + i
+    return ("u", 0) if v == 0 else ("v", v) if v < n else ("w", v - (n - 1))
 
 
 def test_extension_is_local():
@@ -106,14 +110,12 @@ def test_extension_is_local():
     for base_n, n in ((7, 9), (8, 10), (9, 11), (10, 12)):
         small = color_fan(base_n)
         big = color_fan(n)
-        _, small_labels = gen_triangular_fan(base_n)
-        _, big_labels = gen_triangular_fan(n)
         small_by_name = {
-            tuple(sorted((small_labels[u], small_labels[v]))): c
+            tuple(sorted((_role(base_n, u), _role(base_n, v)))): c
             for (u, v), c in small.assignment.items()
         }
         big_by_name = {
-            tuple(sorted((big_labels[u], big_labels[v]))): c
+            tuple(sorted((_role(n, u), _role(n, v)))): c
             for (u, v), c in big.assignment.items()
         }
         for named_edge, c in small_by_name.items():
@@ -132,7 +134,7 @@ def test_demo_counts_triangles():
         report = separating_triangle_demo(n)
         assert isinstance(report, FanReport)
         assert len(report.separating_triangles) == n - 4
-        g, _ = gen_triangular_fan(n)
+        g = gen_triangular_fan(n)
         assert check_interval_coloring(g, report.coloring) is None
         assert str(len(report.separating_triangles)) in report.conclusion
 
@@ -153,7 +155,7 @@ def test_demo_runs_no_recognition_and_finds_its_triangles(monkeypatch):
 
     monkeypatch.setattr(outercolor.fan, "recognize_outerplanar_2connected", refused)
     for n in range(5, 151):
-        g, _ = gen_triangular_fan(n)
+        g = gen_triangular_fan(n)
         expected = tuple(separating_triangles(recognize_outerplanar_2connected(g)))
         assert separating_triangle_demo(n).separating_triangles == expected
 

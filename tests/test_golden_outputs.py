@@ -13,15 +13,25 @@ moved any output. The cycle hashes were recorded while the peel still
 colored even cycles, so they pin that the even construction gives them
 the same bytes.
 
-`fan` and `demo-axenovich` read no input; their calls are pinned by
-argv alone. Those hashes were recorded while separating triangles were
-still found by walking every bounded face.
+`width` and `color --method exact` are pinned on T_{1,1,1} and T_{1,2,2}
+(the parity certificate that names k, l, m), C_5 (the one that names n
+and the edge count), the 7-fan (a coloring) and K_5 (every t exhausted).
+
+`fan`, `demo-axenovich` and `gen` read no input; their calls are pinned
+by argv alone. Those hashes were recorded while separating triangles
+were still found by walking every bounded face.
+
+A call may be a pipe, its stages split at `|`, each stage reading the
+one before it. The DOT pins were recorded while `color` and `fan` still
+wrote DOT themselves, under a `--format dot` option: `export-dot` on
+their JSON gives the same bytes.
 """
 
 import hashlib
 import io
 import random
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -29,6 +39,7 @@ from outercolor.cli import main
 from outercolor.graphs import (
     gen_cycle,
     gen_random_outerplanar_subcubic,
+    gen_triangle_graph,
     gen_triangular_fan,
     make_graph,
     write_edge_list,
@@ -44,12 +55,16 @@ def _relabelled(g, seed):
 def _inputs():
     for n in (101, 400, 401, 3000):
         yield f"random-{n}", _relabelled(gen_random_outerplanar_subcubic(n, n), n)
-    yield "fan-257", gen_triangular_fan(257)[0]
+    yield "fan-257", gen_triangular_fan(257)
     yield "k23", make_graph(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
     yield "crossing", make_graph(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3), (1, 4)])
     yield "cycle-6", gen_cycle(6)
     yield "cycle-40", _relabelled(gen_cycle(40), 40)
     yield "cycle-5", gen_cycle(5)
+    yield "t111", gen_triangle_graph(1, 1, 1)
+    yield "t122", gen_triangle_graph(1, 2, 2)
+    yield "fan-7", gen_triangular_fan(7)
+    yield "k5", make_graph(5, list(combinations(range(5), 2)))
 
 
 INPUTS = dict(_inputs())
@@ -72,15 +87,32 @@ GOLDEN = {
     ("cycle-6", "color"): (0, "ae293af185684fc456ad76501e6427d7af214f4a0cafb18ac7651b2bebe74c3a"),
     ("cycle-40", "color"): (0, "4e971cb38f57aa1c7b82a2bc8cc2b9eeb3e105bb716908efd93b9ef2c417223f"),
     ("cycle-5", "color"): (1, "7f7ae940a77d5d5e7a8b5f5fa76e84b890c34136999d0ca7c2c1698dd2ef1e7b"),
+    ("random-101", "color | export-dot"): (0, "61fbc08f658fd8891a984468491ed78ad33b75fe707f73b756feb59c3888fe58"),
+    ("t111", "width"): (1, "2b36bda6970480cf4b6eef33d4d923df01c2f876848abd5f086f482d0d22be19"),
+    ("t122", "width"): (1, "c7dc4f930e7283b97dfafd497e4f7677b12f30274c185e01fff96093408e33eb"),
+    ("cycle-5", "width"): (1, "e0780cc9a14873cb313be178b320b80d2b71606c0b70067d906853b2c065df6d"),
+    ("fan-7", "width"): (0, "ef47e2a6bd10454020ba9c0608e01d324e35e599b2f3b506f0f16c35fd9edec4"),
+    ("k5", "width"): (1, "0cde22c50370565d9187e22259b27e66f2edd0d871c23c26e87316061cb8504f"),
+    ("fan-7", "color --method exact"): (0, "ed03057de61c2cadc07f4dfb569fda950ccb7f0d2bc2f4e70927d29124f328a3"),
+    ("t111", "color --method exact"): (1, "2b36bda6970480cf4b6eef33d4d923df01c2f876848abd5f086f482d0d22be19"),
+    ("cycle-6", "color --method exact --t 3"): (0, "ab4684c5ffad146ca42d5c52d216dc339c9da31d571d4a05d39521c7398af6ca"),
 }
+
+
+def _run(argv, text, capsys, monkeypatch):
+    """Exit code of the last stage and the SHA-256 of its stdout."""
+    code = None
+    for stage in " ".join(argv).split(" | "):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code = main(stage.split())
+        text = capsys.readouterr().out
+    return code, hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name, command", sorted(GOLDEN))
 def test_output_matches_golden(name, command, capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(write_edge_list(INPUTS[name])))
-    code = main([command])
-    out = capsys.readouterr().out
-    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[name, command]
+    text = write_edge_list(INPUTS[name])
+    assert _run([command], text, capsys, monkeypatch) == GOLDEN[name, command]
 
 
 GENERATED = {
@@ -89,15 +121,15 @@ GENERATED = {
     ("fan", "--n", "9"): (0, "065a268747496856ca28ded0af55013a26e08206f69b6b22f7437f234db8eaef"),
     ("fan", "--n", "64"): (0, "a0bcbf61d45b6b91d6406ca288ee3e906b6e24ae3a3fdbf62e02b8f3534aae9d"),
     ("fan", "--n", "257"): (0, "601a14cfe328608b8ffa76afda5f0b2997d5f0121dc1750d239e97e8336282c9"),
-    ("fan", "--n", "9", "--format", "dot"): (0, "90c65ad32ba69bcb9e6af8d6c190ca36e8e540e5aebbe9b068ebf4ea9418aba9"),
+    ("fan", "--n", "9", "|", "export-dot"): (0, "90c65ad32ba69bcb9e6af8d6c190ca36e8e540e5aebbe9b068ebf4ea9418aba9"),
     ("demo-axenovich", "--n", "5"): (0, "53ee731af10230c5ef52a5a650b3e67312f395c90406233892a8297c6b4131e8"),
     ("demo-axenovich", "--n", "64"): (0, "d4038076efc0bd977f68f0f2cef97bf9f7a8a3d41e978e15182d7dc7f1352e54"),
     ("demo-axenovich", "--n", "257"): (0, "e1d3c68ec36ec9e3aef971c55a2295b9692b76480b0bf7ca4d15149747aaa4bd"),
+    ("gen", "--family", "tklm", "--k", "2", "--l", "3", "--m", "1"): (0, "a7faf58455d2e2f2fefeca7b4c3bda36c28404d35dcc636e471b81ca47ab0b07"),
+    ("gen", "--family", "tf", "--n", "9"): (0, "dc07d8b9563f734246d81beb98ff16503d5c8fb47b40b02d5905f6dde06cc676"),
 }
 
 
 @pytest.mark.parametrize("argv", sorted(GENERATED), ids=" ".join)
-def test_generated_output_matches_golden(argv, capsys):
-    code = main(list(argv))
-    out = capsys.readouterr().out
-    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GENERATED[argv]
+def test_generated_output_matches_golden(argv, capsys, monkeypatch):
+    assert _run(argv, "", capsys, monkeypatch) == GENERATED[argv]

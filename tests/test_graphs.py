@@ -107,18 +107,18 @@ def test_gen_cycle_shape():
 
 
 def test_fan_smallest_is_triangle():
-    g, labels = gen_triangular_fan(3)
+    g = gen_triangular_fan(3)
     assert g.n == 4 and g.m == 5
-    assert labels == {0: "u", 1: "v1", 2: "v2", 3: "w1"}
+    # u = 0, v_1 = 1, v_2 = 2 and w_1 = 3
+    assert g.edges == {(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)}
     assert g.max_degree == 3
 
 
 def test_fan_counts_and_degrees():
     for n in range(3, 12):
-        g, labels = gen_triangular_fan(n)
+        g = gen_triangular_fan(n)
         assert g.n == 2 * n - 2
         assert g.m == 4 * n - 7
-        assert len(labels) == g.n
         assert g.degree(0) == n - 1
         # every w vertex has degree 2
         for i in range(1, n - 1):
@@ -129,16 +129,15 @@ def test_fan_counts_and_degrees():
 
 def test_fan_apex_sees_every_v():
     n = 7
-    g, _ = gen_triangular_fan(n)
+    g = gen_triangular_fan(n)
     assert g.neighbors(0) == tuple(range(1, n))
 
 
 def test_triangle_graph_counts():
     for k, l, m in [(1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 2, 1)]:
-        g, labels = gen_triangle_graph(k, l, m)
+        g = gen_triangle_graph(k, l, m)
         assert g.n == 3 + (2 * k - 1) + (2 * l - 1) + (2 * m - 1)
         assert g.m == 3 + 2 * (k + l + m)
-        assert len(labels) == g.n
         # all degrees even: 4 at the triangle, 2 along the paths
         for v in range(g.n):
             assert g.degree(v) in (2, 4)
@@ -146,13 +145,13 @@ def test_triangle_graph_counts():
             assert g.degree(v) == 4
 
 
-def test_triangle_graph_labels_spell_roles():
-    g, labels = gen_triangle_graph(2, 1, 1)
-    assert labels[0] == "x" and labels[1] == "y" and labels[2] == "z"
-    us = [v for v, name in labels.items() if name.startswith("u")]
-    assert len(us) == 3
-    # u-path runs between x and y
-    assert g.has_edge(0, us[0]) and g.has_edge(us[-1], 1)
+def test_triangle_graph_ids_follow_the_sides():
+    # x, y, z = 0, 1, 2; the 2k - 1 = 3 inner vertices of the x..y path
+    # are 3, 4, 5, then y..z runs through 6 and x..z through 7
+    g = gen_triangle_graph(2, 1, 1)
+    sides = [(0, 1), (1, 2), (0, 2)]
+    paths = [(0, 3), (3, 4), (4, 5), (1, 5), (1, 6), (2, 6), (0, 7), (2, 7)]
+    assert g.n == 8 and g.edges == set(sides + paths)
 
 
 def test_random_family_is_deterministic():

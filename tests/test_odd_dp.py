@@ -44,8 +44,8 @@ def chord_sets(n: int):
 
 
 def color_and_check(g) -> None:
-    t, col = color_optimal_subcubic(g)
-    assert t == 4 and col.t == 4
+    col = color_optimal_subcubic(g)
+    assert col.t == 4
     assert check_interval_coloring(g, col) is None
 
 

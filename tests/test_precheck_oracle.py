@@ -29,7 +29,6 @@ from outercolor.graphs import (
     make_graph,
 )
 from outercolor.solver import (
-    NotColorable,
     ParityCertificate,
     find_interval_coloring,
     precheck,
@@ -62,7 +61,7 @@ def _check(g: Graph) -> tuple[int, int, int] | None:
     h = _nx(g)
     iso = [
         klm for klm in _family_members(g)
-        if nx.is_isomorphic(h, _nx(gen_triangle_graph(*klm)[0]))
+        if nx.is_isomorphic(h, _nx(gen_triangle_graph(*klm)))
     ]
     if got is None:
         assert iso == [], (sorted(g.edges), iso)
@@ -98,14 +97,14 @@ TRIANGLE = [(0, 1), (1, 2), (0, 2)]
 def test_relabelled_family_members_match():
     rng = random.Random(8)
     for k, l, m in itertools.product(range(1, 5), repeat=3):
-        g, _ = gen_triangle_graph(k, l, m)
+        g = gen_triangle_graph(k, l, m)
         for h in (g, _shuffled(g, rng), _shuffled(g, rng)):
             assert _check(h) == tuple(sorted((k, l, m)))
 
 
 # Each near-miss breaks one condition of the match and keeps the others
 # that can still hold, so each condition is needed to reject one of them.
-T222 = sorted(gen_triangle_graph(2, 2, 2)[0].edges)  # u = 3, 4, 5 on side 0-1
+T222 = sorted(gen_triangle_graph(2, 2, 2).edges)  # u = 3, 4, 5 on side 0-1
 
 NEAR_MISSES = {
     "one odd path": _hubs_and_runs(TRIANGLE, [(0, 1, 4), (1, 2, 4), (0, 2, 3)]),
@@ -123,7 +122,11 @@ NEAR_MISSES = {
     ),
     # T_{1,1,1} plus a disjoint 4-cycle: degrees and n + 3 edges still hold
     "T plus a separate cycle": make_graph(
-        10, sorted(gen_triangle_graph(1, 1, 1)[0].edges) + [(6, 7), (7, 8), (8, 9), (6, 9)]
+        10, sorted(gen_triangle_graph(1, 1, 1).edges) + [(6, 7), (7, 8), (8, 9), (6, 9)]
+    ),
+    # the same with a 6-cycle: n steps from a hub go twice round T_{1,1,1}
+    "T plus a separate cycle of its order": make_graph(
+        12, sorted(gen_triangle_graph(1, 1, 1).edges) + [(6 + i, 6 + (i + 1) % 6) for i in range(6)]
     ),
     # n + 3 edges still, but vertices of degree 3 and 1
     "pendant vertex": make_graph(13, T222 + [(4, 12)]),
@@ -148,7 +151,7 @@ def test_near_misses_do_not_match(name):
 
 def test_other_families_do_not_match():
     graphs = [gen_cycle(n) for n in range(3, 16)]
-    graphs += [gen_triangular_fan(n)[0] for n in range(3, 12)]
+    graphs += [gen_triangular_fan(n) for n in range(3, 12)]
     graphs += [
         gen_random_outerplanar_subcubic(n, seed) for n in range(4, 15) for seed in range(19)
     ]
@@ -168,8 +171,8 @@ def test_screen_matches_eulerian_with_odd_m_on_the_atlas():
             assert out is None, sorted(g.edges)
             continue
         hits += 1
-        assert out == NotColorable(ParityCertificate(g.n, g.m, _check(g))), sorted(g.edges)
-        named += out.certificate.klm is not None
+        assert out == ParityCertificate(g.n, g.m, _check(g)), sorted(g.edges)
+        named += out.klm is not None
         # the search agrees. The five hits with m > 13 rest on the lemma
         # alone: the four with m = 15 and 17 would add about 5 s of
         # search, and K7 (m = 21) minutes
@@ -188,6 +191,6 @@ def test_width_certifies_without_searching(klm, monkeypatch):
         raise AssertionError("width searched a T_{k,l,m}")
 
     monkeypatch.setattr(solver, "find_interval_coloring", no_search)
-    g, _ = gen_triangle_graph(*klm)
+    g = gen_triangle_graph(*klm)
     out = width(_shuffled(g, random.Random(sum(klm))))
-    assert out == NotColorable(ParityCertificate(g.n, g.m, tuple(sorted(klm))))
+    assert out == ParityCertificate(g.n, g.m, tuple(sorted(klm)))

@@ -220,9 +220,9 @@ def corpus():
     for n in range(3, 40):
         yield gen_cycle(n)
     for n in range(3, 80):
-        yield gen_triangular_fan(n)[0]
+        yield gen_triangular_fan(n)
     for k, l, m in ((1, 1, 1), (1, 2, 3), (2, 2, 2)):
-        yield gen_triangle_graph(k, l, m)[0]
+        yield gen_triangle_graph(k, l, m)
     for n in range(4, 60):
         for seed in range(8):
             yield gen_random_outerplanar_subcubic(n, seed)
@@ -342,7 +342,7 @@ def test_verify_embedding_matches_reference():
 
 def test_separating_triangles_match_reference_on_fans_and_triangulations():
     rng = random.Random(7)
-    shapes = [gen_triangular_fan(n)[0] for n in range(3, 121)]
+    shapes = [gen_triangular_fan(n) for n in range(3, 121)]
     for n in range(3, 301, 11):
         tri = _triangulated_polygon(rng, n)
         shapes.append(_relabel(rng, n, tri))
@@ -358,7 +358,7 @@ def test_separating_triangles_match_reference_on_fans_and_triangulations():
 
 def test_separating_triangles_of_the_100000_fan():
     n = 100_000
-    g, _ = gen_triangular_fan(n)
+    g = gen_triangular_fan(n)
     # the fan's outer walk u, v1, w1, v2, ..., w_{n-2}, v_{n-1}, checked
     # by the verifier in place of a recognition
     order = [0] + [x for i in range(1, n - 1) for x in (i, n - 1 + i)] + [n - 1]

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from outercolor.coloring import check_interval_coloring
+from outercolor.coloring import EdgeColoring, check_interval_coloring
 from outercolor.graphs import (
     GraphError,
     gen_cycle,
@@ -18,10 +18,8 @@ from outercolor.graphs import (
 from outercolor import graphs, solver
 from outercolor.solver import (
     BudgetExceeded,
-    Colored,
     ExhaustedAllT,
     Inconclusive,
-    NotColorable,
     ParityCertificate,
     color_bound,
     find_interval_coloring,
@@ -35,8 +33,6 @@ def brute_force_exists(g, t):
     # independent oracle: enumerate every assignment of t colors
     edges = sorted(g.edges)
     for colors in product(range(1, t + 1), repeat=len(edges)):
-        from outercolor.coloring import EdgeColoring
-
         if check_interval_coloring(g, EdgeColoring(t, dict(zip(edges, colors)))) is None:
             return True
     return False
@@ -48,10 +44,10 @@ def chorded_hexagon():
 
 def test_precheck_odd_cycle():
     out = precheck(gen_cycle(5))
-    assert isinstance(out, NotColorable)
-    assert out.certificate == ParityCertificate(n=5, edges=5, klm=None)
+    assert isinstance(out, ParityCertificate)
+    assert out == ParityCertificate(n=5, edges=5, klm=None)
     assert precheck(gen_cycle(6)) is None
-    g, _ = gen_triangular_fan(5)
+    g = gen_triangular_fan(5)
     assert precheck(g) is None
 
 
@@ -62,7 +58,7 @@ def test_precheck_rejects_disconnected():
 
 def test_color_bound_values():
     assert color_bound(gen_cycle(6)) == (5, "triangle-free-bound")  # min(6, 5)
-    t111, _ = gen_triangle_graph(1, 1, 1)
+    t111 = gen_triangle_graph(1, 1, 1)
     assert t111.m == 9 and color_bound(t111) == (9, "edge-count-bound")
     diamond = make_graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
     assert color_bound(diamond) == (5, "edge-count-bound")
@@ -70,8 +66,8 @@ def test_color_bound_values():
 
 def test_has_triangle():
     assert not has_triangle(gen_cycle(6))
-    assert has_triangle(gen_triangular_fan(4)[0])
-    t, _ = gen_triangle_graph(2, 1, 1)
+    assert has_triangle(gen_triangular_fan(4))
+    t = gen_triangle_graph(2, 1, 1)
     assert has_triangle(t)
 
 
@@ -107,7 +103,7 @@ def test_solver_agrees_with_brute_force_on_small_graphs():
         gen_cycle(6),
         make_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]),
         make_graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),
-        gen_triangular_fan(3)[0],
+        gen_triangular_fan(3),
     ]
     for g in graphs:
         for t in range(g.max_degree, min(color_bound(g)[0], 6) + 1):
@@ -119,27 +115,27 @@ def test_solver_agrees_with_brute_force_on_small_graphs():
 
 
 def test_fan3_three_colorable():
-    g, _ = gen_triangular_fan(3)
+    g = gen_triangular_fan(3)
     col = find_interval_coloring(g, 3)
     assert col is not None and check_interval_coloring(g, col) is None
 
 
 def test_width_c4():
     out = width(gen_cycle(4))
-    assert isinstance(out, Colored) and out.t == 2
-    assert check_interval_coloring(gen_cycle(4), out.coloring) is None
+    assert isinstance(out, EdgeColoring) and out.t == 2
+    assert check_interval_coloring(gen_cycle(4), out) is None
 
 
 def test_width_odd_cycle_certificate():
     out = width(gen_cycle(7))
-    assert isinstance(out, NotColorable)
-    assert out.certificate == ParityCertificate(7, 7, None)
-    assert repr(out) == "NotColorable(certificate=ParityCertificate(n=7, edges=7, klm=None))"
+    assert isinstance(out, ParityCertificate)
+    assert out == ParityCertificate(7, 7, None)
+    assert repr(out) == "ParityCertificate(n=7, edges=7, klm=None)"
 
 
 def test_width_chorded_hexagon_is_three():
     out = width(chorded_hexagon())
-    assert isinstance(out, Colored) and out.t == 3
+    assert isinstance(out, EdgeColoring) and out.t == 3
 
 
 def triangle_with_paths(a, b, c):
@@ -157,9 +153,9 @@ def triangle_with_paths(a, b, c):
 def test_width_t111_not_colorable_by_exhaustion():
     # width answers from the degree-parity screen; the search it skips
     # still finds nothing at any t from max degree to m
-    g, _ = gen_triangle_graph(1, 1, 1)
+    g = gen_triangle_graph(1, 1, 1)
     out = width(g)
-    assert out == NotColorable(ParityCertificate(6, 9, (1, 1, 1)))
+    assert out == ParityCertificate(6, 9, (1, 1, 1))
     assert all(find_interval_coloring(g, t) is None for t in range(g.max_degree, g.m + 1))
 
 
@@ -172,7 +168,7 @@ def test_width_exhausts_k5():
     # no t works
     g = k_n(5)
     assert precheck(g) is None
-    assert width(g) == NotColorable(ExhaustedAllT(t_max=10, reason="edge-count-bound"))
+    assert width(g) == ExhaustedAllT(t_max=10, reason="edge-count-bound")
 
 
 SIDE_PATHS = [(4, 3, 3), (4, 5, 5), (4, 7, 7), (5, 6, 7), (6, 7, 7)]
@@ -192,7 +188,7 @@ def test_width_settles_eulerian_odd_m_without_searching(g, monkeypatch):
 
     monkeypatch.setattr(solver, "find_interval_coloring", no_search)
     assert all(g.degree(v) % 2 == 0 for v in range(g.n)) and g.m % 2 == 1
-    assert width(g, budget_ms=10_000) == NotColorable(ParityCertificate(g.n, g.m, None))
+    assert width(g, budget_ms=10_000) == ParityCertificate(g.n, g.m, None)
 
 
 def test_width_triangle_free_reason():
@@ -202,10 +198,10 @@ def test_width_triangle_free_reason():
     g = make_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3), (1, 4)])
     # K_{3,3} minor-ish, not outerplanar, but the solver works on any graph
     out = width(g)
-    if isinstance(out, NotColorable):
-        assert out.certificate.reason == "triangle-free-bound"
+    if isinstance(out, ExhaustedAllT):
+        assert out.reason == "triangle-free-bound"
     else:
-        assert check_interval_coloring(g, out.coloring) is None
+        assert check_interval_coloring(g, out) is None
 
 
 def _slow_subcubic():
@@ -227,8 +223,8 @@ def test_width_respects_budget():
     assert isinstance(out, Inconclusive)
     assert out.bound_exhausted_at == g.max_degree
     # the precheck settles T_{2,2,1} before the budget is looked at
-    t221, _ = gen_triangle_graph(2, 2, 1)
-    assert width(t221, budget_ms=0) == NotColorable(ParityCertificate(10, 13, (1, 2, 2)))
+    t221 = gen_triangle_graph(2, 2, 1)
+    assert width(t221, budget_ms=0) == ParityCertificate(10, 13, (1, 2, 2))
 
 
 def test_search_polls_its_deadline(monkeypatch):
@@ -255,7 +251,7 @@ def test_records_poll_the_deadline():
     # the 3000-fan's apex has degree 2999, so the search's records would
     # hold about 4.5 million slots; a deadline that has passed stops their
     # build before they take that memory
-    g, _ = gen_triangular_fan(3000)
+    g = gen_triangular_fan(3000)
     t = g.max_degree
     tracemalloc.start()
     try:
@@ -287,7 +283,7 @@ def test_width_checks_connectivity_once(monkeypatch):
     monkeypatch.setattr(graphs, "_search_connected", counted)
     monkeypatch.setattr(solver, "find_interval_coloring", search_at_t)
     out = width(g)
-    assert isinstance(out, Colored) and out.t == 4
+    assert isinstance(out, EdgeColoring) and out.t == 4
     assert tried == [3, 4]
     assert searched == [9]
 
@@ -304,13 +300,13 @@ def test_width_isomorphism_invariant():
     for n, seed in [(6, 0), (7, 1), (8, 2)]:
         g = gen_random_outerplanar_subcubic(n, seed)
         base = width(g)
-        assert isinstance(base, Colored)
+        assert isinstance(base, EdgeColoring)
         for _ in range(5):
             perm = list(range(g.n))
             rng.shuffle(perm)
             h = make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
             out = width(h)
-            assert isinstance(out, Colored) and out.t == base.t
+            assert isinstance(out, EdgeColoring) and out.t == base.t
 
 
 def test_require_palettes_steers_search():
@@ -339,16 +335,16 @@ def test_require_palettes_not_defeated_by_symmetry_breaking():
 
 def test_width_matches_brute_force_verdict_on_c6():
     out = width(gen_cycle(6))
-    assert isinstance(out, Colored) and out.t == 2
+    assert isinstance(out, EdgeColoring) and out.t == 2
     assert brute_force_exists(gen_cycle(6), 2)
 
 
 def test_width_past_the_recursion_limit():
     out = width(gen_cycle(1500))
-    assert isinstance(out, Colored) and out.t == 2
-    assert check_interval_coloring(gen_cycle(1500), out.coloring) is None
+    assert isinstance(out, EdgeColoring) and out.t == 2
+    assert check_interval_coloring(gen_cycle(1500), out) is None
     out = width(gen_cycle(1501))
-    assert out == NotColorable(ParityCertificate(1501, 1501, None))
+    assert out == ParityCertificate(1501, 1501, None)
 
 
 def _count_searches(monkeypatch):

@@ -180,13 +180,13 @@ def test_atlas_graphs_up_to_six_vertices():
 
 def test_triangle_graphs():
     for klm in [(1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (1, 2, 2)]:
-        g, _ = gen_triangle_graph(*klm)
+        g = gen_triangle_graph(*klm)
         assert not any(_agree(g, t) for t in range(g.max_degree, g.m + 1)), klm
 
 
 def test_fans_with_base_pins():
     for n in range(3, 8):
-        g, _ = gen_triangular_fan(n)
+        g = gen_triangular_fan(n)
         pins = _base_constraints(n)
         top = min(g.m, g.max_degree + 2)
         results = [_agree(g, t, pins) for t in range(g.max_degree, top + 1)]

@@ -4,7 +4,7 @@ import pytest
 
 import outercolor.peel
 from outercolor import subcubic
-from outercolor.coloring import check_interval_coloring
+from outercolor.coloring import EdgeColoring, check_interval_coloring
 from outercolor.graphs import (
     gen_cycle,
     gen_random_outerplanar_subcubic,
@@ -14,7 +14,7 @@ from outercolor.graphs import (
 )
 from outercolor.outerplanar import OuterEmbedding, recognize_outerplanar_2connected
 from outercolor.peel import PairConfig, color_subcubic_le4_traced, find_reducible_config
-from outercolor.solver import Colored, find_interval_coloring, width
+from outercolor.solver import find_interval_coloring, width
 from outercolor.subcubic import (
     ColoringPreconditionError,
     color_even_hamiltonian,
@@ -152,7 +152,7 @@ def test_even_hamiltonian_preconditions():
     emb = recognize_outerplanar_2connected(g)
     with pytest.raises(ColoringPreconditionError):
         color_even_hamiltonian(g, emb)  # odd order
-    fan6, _ = gen_triangular_fan(6)
+    fan6 = gen_triangular_fan(6)
     emb6 = recognize_outerplanar_2connected(fan6)
     with pytest.raises(ColoringPreconditionError, match="max degree must be 2 or 3"):
         color_even_hamiltonian(fan6, emb6)  # max degree 5
@@ -164,15 +164,15 @@ def test_even_hamiltonian_preconditions():
 
 
 def test_optimal_even_is_three():
-    w, col = color_optimal_subcubic(chorded_hexagon())
-    assert w == 3 and col.t == 3
+    col = color_optimal_subcubic(chorded_hexagon())
+    assert col.t == 3
     assert check_interval_coloring(chorded_hexagon(), col) is None
 
 
 def test_optimal_odd_is_four_and_solver_confirms():
     g = house()
-    w, col = color_optimal_subcubic(g)
-    assert w == 4 and col.t == 4
+    col = color_optimal_subcubic(g)
+    assert col.t == 4
     assert check_interval_coloring(g, col) is None
     # no interval 3-coloring exists at odd order
     assert find_interval_coloring(g, 3) is None
@@ -184,7 +184,7 @@ def test_optimal_odd_recognizes_once(monkeypatch):
     monkeypatch.setattr(
         subcubic, "recognize_outerplanar_2connected", lambda g: calls.append(g) or recognize(g)
     )
-    assert color_optimal_subcubic(house())[0] == 4
+    assert color_optimal_subcubic(house()).t == 4
     assert len(calls) == 1
 
 
@@ -192,26 +192,25 @@ def test_optimal_matches_solver_width_small():
     for n in range(4, 10):
         for seed in range(4):
             g = gen_random_outerplanar_subcubic(n, seed)
-            w, col = color_optimal_subcubic(g)
+            col = color_optimal_subcubic(g)
             assert check_interval_coloring(g, col) is None
             out = width(g)
-            assert isinstance(out, Colored)
-            assert out.t == w
+            assert isinstance(out, EdgeColoring)
+            assert out.t == col.t
 
 
 def test_optimal_parity_rule():
     for n in range(4, 15):
         for seed in range(6):
             g = gen_random_outerplanar_subcubic(n, seed)
-            w, col = color_optimal_subcubic(g)
-            assert w == (3 if n % 2 == 0 else 4)
-            assert col.t == w
+            col = color_optimal_subcubic(g)
+            assert col.t == (3 if n % 2 == 0 else 4)
             assert check_interval_coloring(g, col) is None
 
 
 def test_precondition_errors():
     k4 = make_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-    fan5, _ = gen_triangular_fan(5)
+    fan5 = gen_triangular_fan(5)
     for entry in (color_subcubic_le4_traced, color_optimal_subcubic):
         with pytest.raises(ColoringPreconditionError, match="edge-bound"):
             entry(k4)
@@ -230,8 +229,8 @@ def test_precondition_errors():
         rng.shuffle(labels)
         cycles.append(make_graph(n, [(labels[i], labels[(i + 1) % n]) for i in range(n)]))
     for g in cycles:
-        t, col = color_optimal_subcubic(g)
-        assert t == 2
+        col = color_optimal_subcubic(g)
+        assert col.t == 2
         assert col == color_subcubic_le4_traced(g)[0]
 
 

@@ -98,7 +98,7 @@ def valid_colorings():
         g = gen_cycle(n)
         yield g, color_subcubic_le4_traced(g)[0]
     for n in range(3, 9):
-        yield gen_triangular_fan(n)[0], color_fan(n)
+        yield gen_triangular_fan(n), color_fan(n)
 
 
 def relabelled(rng: random.Random, g: Graph, col: EdgeColoring, extra: int):
