@@ -202,7 +202,7 @@ def coloring_from_json(text: str) -> EdgeColoring:
         raise ColoringError('coloring JSON must be {"t": ..., "edges": [...]}')
     t = data["t"]
     if not isinstance(t, int) or isinstance(t, bool):
-        raise ColoringError(f"t must be an int, got {t!r}")
+        raise ColoringError(f"t must be an int, got {json.dumps(t)}")
     items = data["edges"]
     if (
         set(map(type, items)) <= {list}
@@ -213,14 +213,14 @@ def coloring_from_json(text: str) -> EdgeColoring:
         assignment = {((u, v) if u < v else (v, u)): c for u, v, c in items}
         if len(assignment) == len(items):
             return EdgeColoring(t, assignment)
-    # some entry is malformed or repeated: name the first one
+    # some entry is malformed or repeated: name the first one, as JSON
     assignment = {}
     for item in items:
         if not (isinstance(item, list) and len(item) == 3):
-            raise ColoringError(f"edge entry {item!r} must be [u, v, color]")
+            raise ColoringError(f"edge entry {json.dumps(item)} must be [u, v, color]")
         u, v, c = item
         if not all(isinstance(x, int) and not isinstance(x, bool) for x in (u, v, c)):
-            raise ColoringError(f"edge entry {item!r} must hold ints")
+            raise ColoringError(f"edge entry {json.dumps(item)} must hold ints")
         e = norm_edge(u, v)
         if e in assignment:
             raise ColoringError(f"duplicate edge {e} in coloring JSON")

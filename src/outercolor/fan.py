@@ -1,18 +1,25 @@
 """Interval colorings of triangular fans using exactly max-degree colors.
 
-Small fans (n <= 8) come from a base table that the exact solver derives
-under constraints on first use, once per process; a larger fan is the
-n=7 or n=8 entry with its w ids shifted, grown by a fixed local
-recoloring-free step that adds one fan cell pair and eight edges, each
-colored in closed form in the step index. Every produced coloring is
-re-validated, and since any interval coloring needs at least max-degree
-colors, hitting exactly that many certifies the fan's width.
+The fans with n <= 6 come from a base table that the exact solver
+derives on first use, once per process; only they load the solver. A
+larger fan is colored in closed form, cell by cell. With the ids of
+`gen_triangular_fan` (u = 0, v_j = j, w_j = n - 1 + j), let a_j say that
+j and n have the same parity. Then (u, v_j) = j + 1 if a_j, else j - 1;
+and for each cell v_j, w_j, v_{j+1}: (v_j, v_{j+1}) = j - 1 if a_j, else
+j + 1; (v_j, w_j) = j - 3 if a_j, else j; (v_{j+1}, w_j) = j - 2 if a_j,
+else j - 1. A few entries in the first cells take fixed values in place
+of the formula, one set for each parity of n.
 
-The table entries for n=7 and n=8 are not arbitrary: the extension step
-reads the palettes at the apex and at the last fan vertex, so the search
-pins those palettes to the values the step needs. One compatible step
-implies all later steps are compatible (the rules shift by one color per
-step), and the validator re-checks every n regardless.
+Why that holds for every n >= 7: past the fixed entries, the four
+colors at j, on (u, v_j) and on cell j, are those at j - 2 plus 2. So
+each fan vertex past the first few sees the palette of the one two
+before it plus 2, and each w_j sees two consecutive colors. For a given
+parity of n, the first cells are the same at every n. The apex sees
+exactly 1..n - 1 and the last fan vertex {n - 4, n - 3, n - 2}. So
+checking one period of each parity proves every n. The validator
+re-checks every coloring regardless, and since any interval coloring
+needs at least max-degree colors, hitting exactly that many certifies
+the fan's width.
 """
 
 from __future__ import annotations
@@ -28,7 +35,6 @@ from .outerplanar import (
     separating_triangles,
     verify_embedding,
 )
-from .solver import find_interval_coloring
 
 
 def fan_max_degree(n: int) -> int:
@@ -39,69 +45,46 @@ def fan_max_degree(n: int) -> int:
     return 3 if n == 3 else max(n - 1, 5)
 
 
-def _base_constraints(n: int) -> dict[int, frozenset[int]] | None:
-    # the first extension step adds colors {t, t+1} at the apex and
-    # {t-3, t-2, t-1}-ish at the boundary; concretely it needs the apex u
-    # (id 0) to see 1..t and the last fan vertex v_{n-1} (id n - 1) to
-    # sit three below the top, where t = n - 1 for the n = 7 and 8 entries
-    if n not in (7, 8):
-        return None
-    return {0: frozenset(range(1, n)), n - 1: frozenset({n - 4, n - 3, n - 2})}
+@cache
+def load_base_table() -> dict[int, EdgeColoring]:
+    """The colorings of the fans n = 3..6: the exact solver's first
+    solution at t = max degree, so every run yields the same table.
+    Derived once per process; color_fan hands out copies of the entries."""
+    from .solver import find_interval_coloring
 
-
-def derive_base_table() -> dict[int, EdgeColoring]:
-    """Search out the six base colorings (n = 3..8) with the exact solver.
-
-    Deterministic: the solver's first solution is taken, so every run
-    yields the same table. The n=7 and n=8 entries are searched under the
-    extension-compatibility constraints and then proof-tested by actually
-    extending them twice.
-    """
     table: dict[int, EdgeColoring] = {}
-    for n in range(3, 9):
-        g = gen_triangular_fan(n)
+    for n in range(3, 7):
         t = fan_max_degree(n)
-        col = find_interval_coloring(g, t, require_palettes=_base_constraints(n))
+        col = find_interval_coloring(gen_triangular_fan(n), t)
         if col is None:
             raise AssertionError(f"no interval {t}-coloring of the {n}-fan found")
         table[n] = col
-    for start in (7, 8):
-        for target in (start + 2, start + 4):
-            probe = _extended_from(table[start], start, target)
-            g = gen_triangular_fan(target)
-            bad = check_interval_coloring(g, probe)
-            if bad is not None:
-                raise AssertionError(
-                    f"base entry {start} fails extension to {target}: {bad.describe()}"
-                )
     return table
 
 
-def _extended_from(base: EdgeColoring, base_n: int, n: int) -> EdgeColoring:
-    """The n-fan coloring grown from the base_n-fan coloring, n - base_n even.
-
-    Ids are gen_triangular_fan's: u = 0, v_i = i and w_i = n - 1 + i.
-    Step k adds v_k, v_{k+1}, w_{k-1}, w_k and eight edges, colored in
-    closed form in k.
-    """
-    shift = n - base_n
-    # no edge joins two w's, so in an edge (a, b) with a < b only b can be one
-    colors = {(a, b + shift if b >= base_n else b): c for (a, b), c in base.assignment.items()}
-    for k in range(base_n, n, 2):
-        w = n - 1 + k  # w_k
-        colors[0, k] = k + 1
-        colors[0, k + 1] = k
-        colors[k, w - 1] = k - 2
-        colors[k + 1, w] = k - 2
-        colors[k, k + 1] = k - 1
-        colors[k - 1, w - 1] = k - 1
-        colors[k - 1, k] = k
-        colors[k, w] = k - 3
-    return EdgeColoring(fan_max_degree(n), colors)
-
-
-# derived once per process; color_fan hands out copies of the entries
-load_base_table = cache(derive_base_table)
+def _closed_form(n: int) -> EdgeColoring:
+    # the module docstring's formula, for n >= 7
+    w = n - 1  # w_j is w + j
+    colors = {}
+    for j in range(2 - n % 2, n - 1, 2):  # a_j: j has the parity of n
+        colors[0, j] = j + 1
+        colors[j, j + 1] = j - 1
+        colors[j, w + j] = j - 3
+        colors[j + 1, w + j] = j - 2
+    for j in range(1 + n % 2, n - 1, 2):
+        colors[0, j] = j - 1
+        colors[j, j + 1] = j + 1
+        colors[j, w + j] = j
+        colors[j + 1, w + j] = j - 1
+    colors[0, n - 1] = n - 2  # j = n - 1 has the other parity
+    # the fixed entries of the first cells
+    if n % 2 == 0:
+        colors.update({(0, 1): 2, (0, 3): 1, (1, 2): 4, (1, w + 1): 3, (2, 3): 5,
+                       (2, w + 1): 2, (2, w + 2): 1, (3, w + 2): 2})
+    else:
+        colors.update({(1, 2): 4, (1, w + 1): 3, (2, w + 1): 2, (2, w + 2): 5,
+                       (3, w + 2): 6, (3, w + 3): 5, (4, w + 3): 6})
+    return EdgeColoring(n - 1, colors)
 
 
 def color_fan(n: int, g: Graph | None = None) -> EdgeColoring:
@@ -113,8 +96,11 @@ def color_fan(n: int, g: Graph | None = None) -> EdgeColoring:
     """
     if n < 3:
         raise ValueError(f"fan needs n >= 3, got {n}")
-    base_n = n if n <= 8 else 8 - n % 2
-    col = _extended_from(load_base_table()[base_n], base_n, n)
+    if n <= 6:
+        base = load_base_table()[n]
+        col = EdgeColoring(base.t, base.assignment)
+    else:
+        col = _closed_form(n)
     if g is None:
         g = gen_triangular_fan(n)
     bad = check_interval_coloring(g, col)

@@ -8,7 +8,9 @@ parity count that covers odd cycles and the triangle-with-even-paths
 family T_{k,l,m} alike. Any other graph gets a full exhaustion up to a
 sound upper bound on t (a t may be settled by the forced-color prune in
 place of a search). `find_interval_coloring` itself runs no precheck: it
-is a pure search at one t.
+is a pure search at one t, with no constraint beyond t. Of the
+constructions, only the fan's base table (n = 3..6) and the peel's small
+bases call it at run time.
 """
 
 from __future__ import annotations
@@ -173,31 +175,27 @@ def _bfs_edge_order(g: Graph) -> list[Edge]:
 def find_interval_coloring(
     g: Graph,
     t: int,
-    require_palettes: dict[int, frozenset[int]] | None = None,
     deadline: float | None = None,
 ) -> EdgeColoring | None:
     """First interval t-coloring in deterministic search order, or None.
 
     Edges are tried in breadth-first order from vertex 0, colors
-    ascending, so the result is reproducible. require_palettes pins the
-    exact palette of chosen vertices (each set's size must equal the
-    vertex degree); color-reversal symmetry breaking is disabled in that
-    case because reversal does not preserve the pinned palettes.
-    Raises BudgetExceeded when a deadline (time.monotonic seconds) passes.
-    The deadline is polled once every 1024 records as they are built, and
-    once every 1024 nodes of the search.
+    ascending, so the result is reproducible. Raises BudgetExceeded when
+    a deadline (time.monotonic seconds) passes. The deadline is polled
+    once every 1024 records as they are built, and once every 1024 nodes
+    of the search.
 
     The search is a loop over depth, not a recursion, so its depth is
     bounded by memory only. Colors are bits of an int. Each vertex has a
     palette and the mask of colors it can still take: the window
     [max(1, hi - d + 1), min(t, lo + d - 1)] around its palette [lo, hi]
-    (degree d), cut to any pinned palette, minus the palette. The
-    candidates for edge uv are the common bits of u's and v's masks,
-    lowest first. Two prunes cut a branch: a later edge at u or v with no
-    common candidate left (masks only shrink as the search deepens), and
-    fewer edges left than colors not yet used. Neither cuts a branch that
-    holds a coloring, so the first coloring found is the one plain
-    backtracking over the same orders finds.
+    (degree d), minus the palette. The candidates for edge uv are the
+    common bits of u's and v's masks, lowest first. Two prunes cut a
+    branch: a later edge at u or v with no common candidate left (masks
+    only shrink as the search deepens), and fewer edges left than colors
+    not yet used. Neither cuts a branch that holds a coloring, so the
+    first coloring found is the one plain backtracking over the same
+    orders finds.
 
     Each node reads one record per edge, built once per search: both
     ends' degrees (and degrees - 1), the slots that hold their masks
@@ -223,18 +221,6 @@ def find_interval_coloring(
     _require_connected(g)
     if t < g.max_degree or t > g.m:
         return None
-    everything = (2 << t) - 2  # bits 1..t
-    pin = [everything] * g.n
-    if require_palettes:
-        for v, pal in require_palettes.items():
-            if len(pal) != g.degree(v):
-                raise ValueError(
-                    f"required palette for vertex {v} has size {len(pal)}, "
-                    f"degree is {g.degree(v)}"
-                )
-            if min(pal) < 1 or max(pal) > t:
-                return None
-            pin[v] = sum(1 << c for c in pal)
     deg = [g.degree(v) for v in range(g.n)]
     if g.n % 2 == 1 and t <= 2 * min(deg) - 1:
         return None  # forced-color prune
@@ -244,7 +230,7 @@ def find_interval_coloring(
     # slot 2m + w holds w's mask before any edge; last[w] is w's newest
     # slot as the records are built in search order
     last = list(range(2 * m, 2 * m + g.n))
-    free = [0] * (2 * m) + pin
+    free = [0] * (2 * m) + [(2 << t) - 2] * g.n  # bits 1..t
     far: list[list[int]] = [[] for _ in range(g.n)]
     for u, v in edges:
         far[u].append(v)
@@ -270,8 +256,7 @@ def find_interval_coloring(
 
     # color-reversal symmetry: c -> t + 1 - c maps valid colorings to
     # valid colorings, so the first edge only needs the lower half
-    first = everything if require_palettes else (2 << (t + 1) // 2) - 2
-    cand[0] = free[rec[0][0]] & free[rec[0][4]] & first
+    cand[0] = (2 << (t + 1) // 2) - 2
     i = 0
     while True:
         c = cand[i]

@@ -20,7 +20,6 @@ import outercolor.fan
 import outercolor.peel
 import outercolor.subcubic
 from outercolor.cli import main
-from outercolor.fan import load_base_table
 from outercolor.graphs import (
     gen_cycle,
     gen_random_outerplanar_subcubic,
@@ -539,13 +538,16 @@ def test_undecodable_coloring_json_is_one_line_error(command, doc, reason, capsy
     "doc, detail",
     [
         ({"t": 1, "edges": [[0, 1, 1], [2, 3]]}, "edge entry [2, 3] must be [u, v, color]"),
-        ({"t": 1, "edges": [[0, 1, 1], [2, 3, True]]}, "edge entry [2, 3, True] must hold ints"),
+        ({"t": 1, "edges": [[0, 1, 1], [2, 3, True]]}, "edge entry [2, 3, true] must hold ints"),
         ({"t": 1, "edges": [[0, 1, 1], [1, 0, 1]]}, "duplicate edge (0, 1) in coloring JSON"),
         ({"t": 1, "edges": [[0, 1, 1], [2, 2, 1]]}, "loop at vertex 2"),
         ({"t": 0, "edges": [[0, 1, 1]]}, "t must be >= 1, got 0"),
         ({"t": 1, "edges": [[-2, 0, 1]]}, "edge (-2, 0) out of range for n=1"),
         ({"t": 1, "edges": [[-3, -2, 1]]}, "vertex count must be nonnegative, got -1"),
         ({"t": 1, "edges": []}, "coloring has no edges"),
+        # the entry and t are quoted as the JSON they were read from
+        ({"t": 1, "edges": [[0, 1, 1], {"u": None}]}, 'edge entry {"u": null} must be [u, v, color]'),
+        ({"t": True, "edges": [[0, 1, 1]]}, "t must be an int, got true"),
     ],
 )
 def test_verify_names_the_first_bad_entry(doc, detail, capsys, monkeypatch):
@@ -592,14 +594,13 @@ def test_demo_reports_triangle_count(capsys):
     "argv, builds",
     [
         (["fan", "--n", "64"], 1),
-        (["fan", "--n", "63"], 1),  # grown from the other base entry
+        (["fan", "--n", "63"], 1),  # the closed form's other parity
         (["demo-axenovich", "--n", "64"], 1),
     ],
 )
 def test_fan_graph_built_once_per_call(argv, builds, capsys, monkeypatch):
     # the coloring is validated against one fan graph, which the demo
     # also reads its triangles from
-    load_base_table()  # its one-time derivation builds small fans
     calls = []
     for module in (outercolor.fan, outercolor.cli):
         original = module.gen_triangular_fan
@@ -966,12 +967,15 @@ atexit.register(_dump)
         (["color"], C4, {"outerplanar", "subcubic"}, 0),
         (["fan", "--n", "5"], "", {"outerplanar", "solver", "fan"}, 0),
         (["demo-axenovich", "--n", "5"], "", {"outerplanar", "solver", "fan"}, 0),
+        # above n = 6 the fan takes its closed form, with no solver
+        (["fan", "--n", "64"], "", {"outerplanar", "fan"}, 0),
+        (["demo-axenovich", "--n", "64"], "", {"outerplanar", "fan"}, 0),
         (["color", "-h"], "", set(), 0),
         (["gen", "--family", "cycle"], "", set(), 2),
     ],
     ids=["gen", "verify", "export-dot-graph", "export-dot-coloring", "recognize", "width",
-         "color-exact", "color-exact-t", "color", "fan", "demo-axenovich", "color-help",
-         "gen-usage-error"],
+         "color-exact", "color-exact-t", "color", "fan", "demo-axenovich", "fan-64",
+         "demo-axenovich-64", "color-help", "gen-usage-error"],
 )
 def test_each_command_loads_only_its_modules(argv, stdin_text, loads, code, tmp_path):
     # a process pays start-up only for what its command runs: beyond

@@ -18,13 +18,18 @@ the same bytes.
 and the edge count), the 7-fan (a coloring) and K_5 (every t exhausted).
 
 `fan`, `demo-axenovich` and `gen` read no input; their calls are pinned
-by argv alone. Those hashes were recorded while separating triangles
-were still found by walking every bounded face.
+by argv alone. The `gen` hashes and those of `fan --n 3` and
+`demo-axenovich --n 5` were recorded while separating triangles were
+still found by walking every bounded face. The `fan` and
+`demo-axenovich` hashes at n >= 7 were re-recorded when those fans took
+the closed form in place of a base entry grown step by step: the new
+coloring differs only in the first six cells, and the demo's JSON at
+n = 64 and 257 kept every byte outside its coloring.
 
 A call may be a pipe, its stages split at `|`, each stage reading the
-one before it. The DOT pins were recorded while `color` and `fan` still
-wrote DOT themselves, under a `--format dot` option: `export-dot` on
-their JSON gives the same bytes.
+one before it. The DOT pin of `color` was recorded while it still wrote
+DOT itself, under a `--format dot` option: `export-dot` on its JSON
+gives the same bytes; so did `fan`'s, before its re-recording.
 """
 
 import hashlib
@@ -117,14 +122,14 @@ def test_output_matches_golden(name, command, capsys, monkeypatch):
 
 GENERATED = {
     ("fan", "--n", "3"): (0, "04b01baae18abe91e746d3d9d940e36152a06e25f6ae0d4274e11b2a574b199c"),
-    ("fan", "--n", "8"): (0, "b16237e87570fec06542465dea25544d1823f209ce00fb593dcc30f6d9b59079"),
-    ("fan", "--n", "9"): (0, "065a268747496856ca28ded0af55013a26e08206f69b6b22f7437f234db8eaef"),
-    ("fan", "--n", "64"): (0, "a0bcbf61d45b6b91d6406ca288ee3e906b6e24ae3a3fdbf62e02b8f3534aae9d"),
-    ("fan", "--n", "257"): (0, "601a14cfe328608b8ffa76afda5f0b2997d5f0121dc1750d239e97e8336282c9"),
-    ("fan", "--n", "9", "|", "export-dot"): (0, "90c65ad32ba69bcb9e6af8d6c190ca36e8e540e5aebbe9b068ebf4ea9418aba9"),
+    ("fan", "--n", "8"): (0, "c2f8fdd8d1937b742bcf6a73efd23473e1ea139dd30aaef39748351e19d7cbc4"),
+    ("fan", "--n", "9"): (0, "d8768c316cc6252477b938173a756fbec1a23256ed93784961eafd03f28060ff"),
+    ("fan", "--n", "64"): (0, "8c2929bda2e71cfb956c6b11dcab6b5af7c6b83b88bc17372d968710df94731b"),
+    ("fan", "--n", "257"): (0, "51da4c270710e467cb707b75c620f9110bb32de382184e80bef39cae15c77fb4"),
+    ("fan", "--n", "9", "|", "export-dot"): (0, "23ea07e29ca8531f5a77ee3e66dba9a25c04913bc65a724fb2b535c4e78b80cd"),
     ("demo-axenovich", "--n", "5"): (0, "53ee731af10230c5ef52a5a650b3e67312f395c90406233892a8297c6b4131e8"),
-    ("demo-axenovich", "--n", "64"): (0, "d4038076efc0bd977f68f0f2cef97bf9f7a8a3d41e978e15182d7dc7f1352e54"),
-    ("demo-axenovich", "--n", "257"): (0, "e1d3c68ec36ec9e3aef971c55a2295b9692b76480b0bf7ca4d15149747aaa4bd"),
+    ("demo-axenovich", "--n", "64"): (0, "3aaef21d8c97aa49e9bf75ea5f5d687568f7d6f81e21d07f7ce6e1b2afd54628"),
+    ("demo-axenovich", "--n", "257"): (0, "c313221d4b7ffed6fc1c5868232bd55e8fe267b9823454fbb988ed4c7b2bd180"),
     ("gen", "--family", "tklm", "--k", "2", "--l", "3", "--m", "1"): (0, "a7faf58455d2e2f2fefeca7b4c3bda36c28404d35dcc636e471b81ca47ab0b07"),
     ("gen", "--family", "tf", "--n", "9"): (0, "dc07d8b9563f734246d81beb98ff16503d5c8fb47b40b02d5905f6dde06cc676"),
 }

@@ -309,30 +309,6 @@ def test_width_isomorphism_invariant():
             assert isinstance(out, EdgeColoring) and out.t == base.t
 
 
-def test_require_palettes_steers_search():
-    # C4 at t=2: forcing vertex 0 to see {1, 2} is satisfiable
-    col = find_interval_coloring(gen_cycle(4), 2, require_palettes={0: frozenset({1, 2})})
-    assert col is not None
-    assert sorted([col.assignment[(0, 1)], col.assignment[(0, 3)]]) == [1, 2]
-    # impossible palette: vertex 0 cannot see {1, 3} (not even an interval)
-    assert find_interval_coloring(gen_cycle(4), 3, require_palettes={0: frozenset({1, 3})}) is None
-    with pytest.raises(ValueError):
-        find_interval_coloring(gen_cycle(4), 2, require_palettes={0: frozenset({1})})
-
-
-def test_require_palettes_not_defeated_by_symmetry_breaking():
-    # symmetry breaking keeps the first search edge in the lower half of
-    # the colors, and color reversal does not keep a pinned palette, so
-    # with pins it must be off. C4 has an interval 3-coloring with palette
-    # {2, 3} at vertex 0 (3, 2, 1, 2 around the cycle from edge 01), so
-    # the pinned search must find one
-    g = gen_cycle(4)
-    col = find_interval_coloring(g, 3, require_palettes={0: frozenset({2, 3})})
-    assert col is not None
-    assert check_interval_coloring(g, col) is None
-    assert {col.assignment[(0, 1)], col.assignment[(0, 3)]} == {2, 3}
-
-
 def test_width_matches_brute_force_verdict_on_c6():
     out = width(gen_cycle(6))
     assert isinstance(out, EdgeColoring) and out.t == 2
@@ -368,8 +344,6 @@ def test_forced_color_prune_skips_odd_order_search(monkeypatch):
     calls = _count_searches(monkeypatch)
     # a search would raise BudgetExceeded here
     assert find_interval_coloring(g, 3, deadline=time.monotonic() + 1.0) is None
-    # pinned palettes are covered too
-    assert find_interval_coloring(gen_cycle(5), 3, require_palettes={0: frozenset({1, 2})}) is None
     assert calls == []
 
 
